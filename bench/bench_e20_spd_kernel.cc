@@ -1,23 +1,25 @@
-// E20 — SPD kernel shoot-out: classic top-down vs direction-optimizing
-// hybrid traversal (sp/bfs_spd.h) across the registry graphs.
+// E20 — SPD direction shoot-out: the BFS kernel (sp/bfs_spd.h) pinned
+// top-down (alpha = 0) vs its default direction-optimizing hybrid
+// traversal, across the registry graphs.
 //
 // For each dataset the harness runs the same spread source set through
-// both kernels and reports
+// both settings and reports
 //
 //   * passes/sec          — forward SPD passes only,
 //   * fused passes/sec    — pass + dependency accumulation (the true
 //                           per-sample unit every estimator pays),
-//   * edges examined      — per pass, per kernel (hardware-independent),
+//   * edges examined      — per pass, per setting (hardware-independent),
 //   * direction switches  — per pass (hybrid),
-//   * det                 — dist/sigma/order bit-identity check between
-//                           the kernels ("!DET" must never appear).
+//   * det                 — dist/sigma/order/delta bit-identity check
+//                           between the settings ("!DET" must never
+//                           appear).
 //
 //   bench_e20_spd_kernel [sources_per_graph] [--smoke]
 //                        [--alpha=<a>] [--beta=<b>]
 //
 // Defaults: 64 sources per graph and the SpdOptions defaults; --smoke
 // drops to 8 sources (the CI artifact run); --alpha/--beta override the
-// hybrid kernel's switch thresholds (this is the harness the defaults
+// hybrid setting's switch thresholds (this is the harness the defaults
 // were tuned with). Timing loops are repeated so the fastest-of-3 wall
 // clock is reported; the JSON twin lands in BENCH_e20.json.
 
@@ -93,12 +95,12 @@ KernelRun TimeKernel(const CsrGraph& graph, const SpdOptions& options,
   return run;
 }
 
-/// dist/sigma/order bit-identity between the kernels over every source,
-/// at the same alpha/beta the timed runs used.
-bool KernelsAgree(const CsrGraph& graph, const SpdOptions& classic,
+/// dist/sigma/order/delta bit-identity between the two settings over every
+/// source, at the same alpha/beta the timed runs used.
+bool KernelsAgree(const CsrGraph& graph, const SpdOptions& top_down,
                   const SpdOptions& hybrid,
                   const std::vector<VertexId>& sources) {
-  BfsSpd a(graph, classic);
+  BfsSpd a(graph, top_down);
   BfsSpd b(graph, hybrid);
   DependencyAccumulator acc_a(graph);
   DependencyAccumulator acc_b(graph);
@@ -116,11 +118,11 @@ bool KernelsAgree(const CsrGraph& graph, const SpdOptions& classic,
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::Banner("E20", "SPD kernel: classic top-down vs hybrid "
+  bench::Banner("E20", "SPD kernel: top-down only vs hybrid "
                        "direction-optimizing");
   std::size_t sources_per_graph = 64;
   bool smoke = false;
-  SpdOptions defaults;  // hybrid kernel, default alpha/beta
+  SpdOptions defaults;  // default alpha/beta: direction-optimizing
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) {
       smoke = true;
@@ -149,12 +151,12 @@ int main(int argc, char** argv) {
   json.AddMeta("beta", FormatDouble(defaults.beta, 2));
 
   bool all_deterministic = true;
-  Table table({"graph", "n", "m", "classic p/s", "hybrid p/s", "speedup",
-               "fused speedup", "classic edges/pass", "hybrid edges/pass",
+  Table table({"graph", "n", "m", "top-down p/s", "hybrid p/s", "speedup",
+               "fused speedup", "top-down edges/pass", "hybrid edges/pass",
                "edge ratio", "bu levels/pass", "switches/pass", "det"});
 
-  // Registry graphs (undirected) plus a directed stand-in: the hybrid
-  // kernel's bottom-up levels scan in-edges on directed graphs, so the
+  // Registry graphs (undirected) plus a directed stand-in: the kernel's
+  // bottom-up levels scan in-edges on directed graphs, so the
   // shoot-out (and the bit-identity gate) must cover that path too.
   std::vector<std::pair<std::string, CsrGraph>> cases;
   for (const DatasetSpec& spec : DatasetRegistry()) {
@@ -168,32 +170,31 @@ int main(int argc, char** argv) {
     const std::vector<VertexId> sources =
         SpreadSources(graph.num_vertices(), sources_per_graph);
 
-    SpdOptions classic = defaults;
-    classic.kernel = SpdKernel::kClassic;
-    SpdOptions hybrid = defaults;
-    hybrid.kernel = SpdKernel::kHybrid;
+    SpdOptions top_down = defaults;
+    top_down.alpha = 0.0;  // bottom-up disabled: every level top-down
+    const SpdOptions& hybrid = defaults;
 
-    const KernelRun classic_run = TimeKernel(graph, classic, sources);
+    const KernelRun top_down_run = TimeKernel(graph, top_down, sources);
     const KernelRun hybrid_run = TimeKernel(graph, hybrid, sources);
-    const bool det = KernelsAgree(graph, classic, hybrid, sources);
+    const bool det = KernelsAgree(graph, top_down, hybrid, sources);
     all_deterministic = all_deterministic && det;
 
     const double passes = static_cast<double>(sources.size());
-    const double classic_pps = passes / classic_run.pass_seconds;
+    const double top_down_pps = passes / top_down_run.pass_seconds;
     const double hybrid_pps = passes / hybrid_run.pass_seconds;
     table.AddRow(
         {name, FormatCount(graph.num_vertices()),
-         FormatCount(graph.num_edges()), FormatDouble(classic_pps, 0),
+         FormatCount(graph.num_edges()), FormatDouble(top_down_pps, 0),
          FormatDouble(hybrid_pps, 0),
-         FormatDouble(hybrid_pps / classic_pps, 2) + "x",
-         FormatDouble(classic_run.fused_seconds / hybrid_run.fused_seconds,
+         FormatDouble(hybrid_pps / top_down_pps, 2) + "x",
+         FormatDouble(top_down_run.fused_seconds / hybrid_run.fused_seconds,
                       2) +
              "x",
-         FormatDouble(static_cast<double>(classic_run.edges_examined) / passes,
+         FormatDouble(static_cast<double>(top_down_run.edges_examined) / passes,
                       0),
          FormatDouble(static_cast<double>(hybrid_run.edges_examined) / passes,
                       0),
-         FormatDouble(static_cast<double>(classic_run.edges_examined) /
+         FormatDouble(static_cast<double>(top_down_run.edges_examined) /
                           static_cast<double>(hybrid_run.edges_examined),
                       2) +
              "x",
@@ -208,15 +209,16 @@ int main(int argc, char** argv) {
 
   bench::EmitTable(
       &json,
-      "E20: classic vs hybrid SPD kernel (passes/sec, edges examined; "
-      "!DET flags a kernel-equivalence violation — must never appear)",
+      "E20: top-down-only vs hybrid SPD kernel (passes/sec, edges "
+      "examined; !DET flags a direction-equivalence violation — must never "
+      "appear)",
       table);
   const std::string written = json.Write();
   if (!written.empty()) std::printf("wrote %s\n", written.c_str());
   if (!all_deterministic) {
     // Fail the run (and the CI release-bench job): a !DET row means the
-    // optimized build broke hybrid/classic bit-identity.
-    std::fprintf(stderr, "FAIL: kernel-equivalence violation (!DET)\n");
+    // optimized build broke hybrid/top-down bit-identity.
+    std::fprintf(stderr, "FAIL: direction-equivalence violation (!DET)\n");
     return 1;
   }
   return 0;

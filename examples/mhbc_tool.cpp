@@ -111,13 +111,10 @@ mhbc::EngineOptions ToolEngineOptions() {
   return options;
 }
 
-/// The SPD kernel passes on this engine's graph run: the configured BFS
-/// kernel on unweighted graphs, canonical-wave delta-stepping on weighted
-/// ones (the kernel knob selects between the BFS kernels only).
+/// The SPD kernel passes on this engine's graph run: the hybrid BFS on
+/// unweighted graphs, canonical-wave delta-stepping on weighted ones.
 const char* KernelName(const mhbc::BetweennessEngine& engine) {
-  if (engine.graph().weighted()) return "delta";
-  return engine.options().spd.kernel == mhbc::SpdKernel::kClassic ? "classic"
-                                                                  : "hybrid";
+  return engine.graph().weighted() ? "delta" : "hybrid";
 }
 
 /// Renders a titled table honouring --json.

@@ -27,9 +27,9 @@ const std::vector<double>& GeisbergerSampler::ScaledDependencies(VertexId s) {
     // Contribution of target w itself (1/d(s,w)) plus accumulated flows.
     const double coeff = (1.0 / static_cast<double>(dw) + aux_[w]) /
                          static_cast<double>(dag.sigma[w]);
-    ForEachParent(dag, *graph_, w, [this, &dag, coeff](VertexId v) {
+    for (VertexId v : dag.predecessors(w)) {
       aux_[v] += static_cast<double>(dag.sigma[v]) * coeff;
-    });
+    }
     scaled_[w] = static_cast<double>(dw) * aux_[w];
   });
   scaled_[s] = 0.0;

@@ -24,8 +24,8 @@ namespace mhbc {
 class GeisbergerSampler {
  public:
   /// `spd` configures the BFS kernel; estimates are bit-identical across
-  /// kernels and α/β settings (the scaled sweep runs in the canonical
-  /// deepest-first order either way).
+  /// α/β settings and thread counts (the scaled sweep runs in the
+  /// canonical deepest-first order either way).
   explicit GeisbergerSampler(const CsrGraph& graph, std::uint64_t seed,
                              SpdOptions spd = SpdOptions());
 

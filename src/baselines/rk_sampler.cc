@@ -1,6 +1,7 @@
 #include "baselines/rk_sampler.h"
 
 #include <cmath>
+#include <span>
 
 namespace mhbc {
 
@@ -35,22 +36,19 @@ void RkSampler::SampleOnePath(std::vector<double>* credit) {
 
   // Backtrack from t, choosing predecessor z with probability
   // sigma_sz / sigma_sw, which selects each shortest s-t path uniformly.
-  // ForEachParent walks recorded SPD edges when the pass stored them and
-  // re-derives parents from dist otherwise; either way the enumeration is
-  // the same sequence, so the chosen path — and the RNG stream — is
-  // bit-identical across kernels.
+  // Recorded parent lists are in canonical order (ascending id for BFS
+  // passes), so the chosen path — and the RNG stream — is bit-identical
+  // across α/β settings and thread counts.
   VertexId w = t;
   while (w != s) {
-    parent_scratch_.clear();
-    ForEachParent(*dag, *graph_, w,
-                  [this](VertexId z) { parent_scratch_.push_back(z); });
-    MHBC_DCHECK(!parent_scratch_.empty());
+    const std::span<const VertexId> parents = dag->predecessors(w);
+    MHBC_DCHECK(!parents.empty());
     const double total = static_cast<double>(dag->sigma[w]);
     double target = rng_.NextDouble() * total;
     // The fp tail (target still >= 0 after every parent) falls back to the
     // last parent.
-    VertexId chosen = parent_scratch_.back();
-    for (VertexId z : parent_scratch_) {
+    VertexId chosen = parents.back();
+    for (VertexId z : parents) {
       target -= static_cast<double>(dag->sigma[z]);
       if (target < 0.0) {
         chosen = z;

@@ -16,8 +16,8 @@
 /// v is exactly the paper-normalized BC(v) (Eq. 1), and VC-dimension theory
 /// gives a distribution-free sample bound in terms of the vertex diameter.
 ///
-/// Supports weighted graphs: the path backtrack then walks the weighted
-/// SPD's explicit predecessor lists instead of the BFS distance test.
+/// Supports weighted graphs: the path backtrack walks the recorded SPD
+/// predecessor lists of either pass kind.
 
 namespace mhbc {
 
@@ -26,8 +26,8 @@ class RkSampler {
  public:
   /// `spd` configures the pass kernel (BFS unweighted, canonical-wave
   /// delta-stepping weighted). The sampled paths — and therefore the
-  /// estimates — are bit-identical across kernels, α/β settings, thread
-  /// counts, and bucket widths: the backtrack walks parents in a fixed
+  /// estimates — are bit-identical across α/β settings, thread counts,
+  /// and bucket widths: the backtrack walks parents in a fixed
   /// canonical order either way.
   explicit RkSampler(const CsrGraph& graph, std::uint64_t seed,
                      SpdOptions spd = SpdOptions());
@@ -65,8 +65,6 @@ class RkSampler {
   std::unique_ptr<BfsSpd> bfs_;
   std::unique_ptr<DeltaSpd> delta_;
   Rng rng_;
-  /// Parents of the backtrack's current vertex (reused across steps).
-  std::vector<VertexId> parent_scratch_;
   std::uint64_t num_passes_ = 0;
 };
 

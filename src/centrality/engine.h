@@ -45,12 +45,12 @@
 /// reproduces the same value bit-for-bit no matter how many queries ran in
 /// between (samplers are Reset to the request seed per query, and memo
 /// hits return bit-identical vectors), only the work accounting differs.
-/// The SPD kernel knob (EngineOptions::spd) is deliberately *outside* the
-/// determinism key: dependency vectors — and therefore every statistical
-/// report field — are bit-identical across SpdKernel choices and α/β
-/// settings, because both BFS kernels emit the canonical per-level
-/// ascending order and the backward sweep is pinned to it (sp/spd.h).
-/// Kernel selection changes how fast a pass runs, never what it returns.
+/// The SPD tuning knobs (EngineOptions::spd) are deliberately *outside*
+/// the determinism key: dependency vectors — and therefore every
+/// statistical report field — are bit-identical across α/β settings,
+/// because the BFS kernel emits the canonical per-level ascending order in
+/// either traversal direction and the backward sweep is pinned to it
+/// (sp/spd.h). Tuning changes how fast a pass runs, never what it returns.
 ///
 /// Parallelism and the thread contract. Set EngineOptions::num_threads to
 /// parallelize *inside* the engine: the exact-score build runs the
@@ -101,7 +101,7 @@
 /// mutation: after ApplyDelta, every statistical report field is
 /// bit-identical to what a cold engine constructed on the post-edit graph
 /// (same options) would return for the same request — at every thread
-/// count and SPD kernel setting. Whole-graph products (exact scores, the
+/// count and SPD tuning setting. Whole-graph products (exact scores, the
 /// RK credit vector, the diameter probe, the joint-space result) are
 /// rebuilt on next use; the dependency memo survives *selectively* —
 /// only cached passes whose BFS trees an edit touches are dropped
@@ -130,8 +130,8 @@ enum class BudgetKind {
   kStandardError,
 };
 
-/// One estimation query. Generalizes EstimateOptions: the budget is a
-/// sample count, a wall-clock deadline, or a target standard error.
+/// One estimation query: the budget is a sample count, a wall-clock
+/// deadline, or a target standard error.
 struct EstimateRequest {
   /// Target vertex — used by EstimateBatch; Estimate/EstimateMany take the
   /// vertex as an argument and ignore this field.
@@ -209,8 +209,7 @@ struct EngineOptions {
   /// Statistical report fields are bit-identical at every setting — see
   /// the file comment for the exact contract.
   unsigned num_threads = 1;
-  /// Shortest-path kernel tuning — BFS kernel selection + direction
-  /// switching unweighted, canonical-wave delta-stepping bucket width
+  /// Shortest-path kernel tuning — BFS direction switching unweighted, canonical-wave delta-stepping bucket width
   /// weighted — applied to every pass the engine (and its shards,
   /// samplers, and exact builds) runs. spd.num_threads == 0 (the default)
   /// inherits

@@ -7,9 +7,8 @@
 #include "util/common.h"
 
 /// \file
-/// Common result/config types of the unified estimation API (see
-/// centrality/engine.h for the session-object entry point and
-/// centrality/api.h for the one-shot convenience wrappers).
+/// Common result types of the unified estimation API (see
+/// centrality/engine.h for the BetweennessEngine entry point).
 
 namespace mhbc {
 
@@ -49,20 +48,6 @@ const char* EstimatorKindName(EstimatorKind kind);
 /// unknown names.
 bool ParseEstimatorKind(const std::string& name, EstimatorKind* kind);
 
-/// Configuration for a one-shot single-vertex estimate (the free-function
-/// API; BetweennessEngine requests use the richer EstimateRequest).
-struct EstimateOptions {
-  EstimatorKind kind = EstimatorKind::kMetropolisHastings;
-  /// Sampling budget: MH iterations or sample count (kind-dependent);
-  /// ignored by kExact.
-  std::uint64_t samples = 1000;
-  std::uint64_t seed = 0x5eed;
-  /// Worker threads for the call's parallel paths (0 = hardware
-  /// concurrency, 1 = sequential). Forwarded to
-  /// EngineOptions::num_threads; values are bit-identical at any setting.
-  unsigned num_threads = 1;
-};
-
 /// Outcome of a single-vertex estimate.
 struct BetweennessEstimate {
   /// Paper-normalized (Eq. 1) betweenness score in [0, 1].
@@ -86,7 +71,7 @@ struct TopKEntry {
 /// Indices into `scores`, highest score first. Stable: entries with equal
 /// scores keep their input order (std::stable_sort contract) — callers may
 /// rely on this for deterministic tie-breaking, e.g. "first-listed target
-/// wins" in RankByBetweenness.
+/// wins" in BetweennessEngine::RankTargets.
 std::vector<std::size_t> RankOrderFromScores(const std::vector<double>& scores);
 
 }  // namespace mhbc

@@ -60,7 +60,8 @@ void ForEachSourceDependenciesInRange(const CsrGraph& graph, VertexId begin,
   }
 }
 
-/// All sources, in order (the sequential driver).
+/// All sources, in order (the sequential driver behind
+/// ExactBetweennessSingle and DependencyProfile).
 template <typename PerSource>
 void ForEachSourceDependencies(const CsrGraph& graph, SpdOptions spd,
                                PerSource&& per_source) {
@@ -79,14 +80,7 @@ constexpr std::size_t kBrandesSourceShards = 32;
 
 std::vector<double> ExactBetweenness(const CsrGraph& graph,
                                      Normalization norm, SpdOptions spd) {
-  const VertexId n = graph.num_vertices();
-  std::vector<double> scores(n, 0.0);
-  ForEachSourceDependenciesInRange(
-      graph, 0, n, spd, [&scores, n](const std::vector<double>& delta) {
-        for (VertexId v = 0; v < n; ++v) scores[v] += delta[v];
-      });
-  NormalizeScores(&scores, norm, n, graph.directed());
-  return scores;
+  return BrandesBetweenness(graph, norm, 1, spd);
 }
 
 std::vector<double> BrandesBetweenness(const CsrGraph& graph,

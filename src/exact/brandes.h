@@ -39,11 +39,10 @@ void NormalizeScores(std::vector<double>* scores, Normalization norm,
 
 /// Exact betweenness of all vertices. O(nm) unweighted, O(nm + n^2 log n)
 /// weighted. Works on disconnected graphs (unreachable pairs contribute 0).
-/// Sequential across sources; see BrandesBetweenness for the
-/// source-parallel form. `spd` selects the unweighted SPD kernel and, via
-/// spd.num_threads, frontier-parallel execution *within* each pass
-/// (ignored for weighted graphs); scores are bit-identical across kernels,
-/// α/β settings, and thread counts.
+/// Sequential across sources: exactly BrandesBetweenness(graph, norm, 1,
+/// spd), so the two agree bit for bit. `spd` tunes the SPD passes and, via
+/// spd.num_threads, frontier-parallel execution *within* each pass; scores
+/// are bit-identical across α/β settings and thread counts.
 std::vector<double> ExactBetweenness(const CsrGraph& graph,
                                      Normalization norm = Normalization::kPaper,
                                      SpdOptions spd = SpdOptions());
@@ -54,9 +53,8 @@ std::vector<double> ExactBetweenness(const CsrGraph& graph,
 /// accumulated into its own per-shard score vector by whichever worker
 /// claims it, and merged in shard order at the end. The fixed shard
 /// structure plus the ordered merge make the result bit-identical at every
-/// `num_threads` (0 = hardware concurrency, 1 = sequential). Values may
-/// differ from ExactBetweenness by floating-point regrouping only (last
-/// ulp); both are exact Brandes. Pool-splitting: when num_threads > 1 the
+/// `num_threads` (0 = hardware concurrency, 1 = sequential).
+/// Pool-splitting: when num_threads > 1 the
 /// sources are the parallel axis and spd.num_threads is forced to 1
 /// (intra-pass threads would oversubscribe); at num_threads == 1 the
 /// caller's spd.num_threads applies within each pass. Either way the

@@ -64,7 +64,7 @@ class DependencyOracle {
  public:
   /// The graph must outlive the oracle. Weighted graphs automatically use
   /// the canonical-wave delta-stepping engine, unweighted graphs the BFS
-  /// engine — both configured by `spd` (kernel choice, α/β, thread count,
+  /// engine — both configured by `spd` (α/β, thread count,
   /// grain, and bucket width change only the work per pass — the
   /// dependency vectors are bit-identical across all settings, see
   /// sp/bfs_spd.h and sp/delta_spd.h).

@@ -42,7 +42,11 @@ void ReadLease::Release() {
 
 GraphEntry::GraphEntry(std::string name, CsrGraph graph,
                        const EngineOptions& options, std::size_t sessions)
-    : name_(std::move(name)), graph_(std::move(graph)) {
+    : name_(std::move(name)),
+      graph_(std::move(graph)),
+      num_vertices_(graph_.num_vertices()),
+      num_edges_(graph_.num_edges()),
+      directed_(graph_.directed()) {
   if (sessions == 0) sessions = 1;
   sessions_.reserve(sessions);
   free_.reserve(sessions);
@@ -104,10 +108,12 @@ Status GraphEntry::Mutate(const GraphDelta& delta) {
 
   lock.lock();
   if (applied.ok()) {
-    const std::uint64_t engine_epoch = sessions_.front()->graph_epoch();
-    if (engine_epoch != epoch_) {  // empty delta keeps the epoch
-      epoch_ = engine_epoch;
+    const BetweennessEngine& session = *sessions_.front();
+    if (session.graph_epoch() != epoch_) {  // empty delta keeps the epoch
+      epoch_ = session.graph_epoch();
       ++mutations_applied_;
+      num_vertices_ = session.graph().num_vertices();
+      num_edges_ = session.graph().num_edges();
     }
   }
   writer_active_ = false;
@@ -124,10 +130,9 @@ GraphEntryStats GraphEntry::Stats() const {
   stats.sessions_free = free_.size();
   stats.reads_served = reads_served_;
   stats.mutations_applied = mutations_applied_;
-  const CsrGraph& current = sessions_.front()->graph();
-  stats.num_vertices = current.num_vertices();
-  stats.num_edges = current.num_edges();
-  stats.directed = current.directed();
+  stats.num_vertices = num_vertices_;
+  stats.num_edges = num_edges_;
+  stats.directed = directed_;
   return stats;
 }
 

@@ -133,6 +133,11 @@ class GraphEntry {
   std::uint64_t epoch_ = 0;
   std::uint64_t reads_served_ = 0;
   std::uint64_t mutations_applied_ = 0;
+  /// Shape of the served graph, refreshed by Mutate next to epoch_ so
+  /// Stats() never reads a session's graph while a writer edits it.
+  VertexId num_vertices_ = 0;
+  std::uint64_t num_edges_ = 0;
+  const bool directed_;
 };
 
 /// The daemon's name -> GraphEntry map. Populate before serving starts;

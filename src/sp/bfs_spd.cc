@@ -28,95 +28,29 @@ BfsSpd::~BfsSpd() = default;
 
 void BfsSpd::Run(VertexId source) {
   MHBC_DCHECK(source < graph_->num_vertices());
-  // Reset only what the previous pass touched.
-  const bool reset_bitmap = !visited_.empty();
-  const bool reset_preds = dag_.has_predecessors;
-  for (VertexId v : dag_.order) {
-    dag_.dist[v] = kUnreachedDistance;
-    dag_.sigma[v] = 0;
-    if (reset_bitmap) ClearVisited(v);
-    if (reset_preds) dag_.pred_count[v] = 0;
-  }
-  dag_.order.clear();
-  dag_.level_offsets.clear();
-  dag_.has_predecessors = false;
-  dag_.source = source;
-  last_stats_ = Stats();
-
-  // Degenerate graphs take the classic path unconditionally: with no edges
-  // (or a single vertex) there is no direction to optimize, and the hybrid
-  // scratch must stay untouched (it is lazily allocated by the first real
-  // hybrid pass).
-  const bool degenerate =
-      graph_->num_vertices() <= 1 || graph_->num_edges() == 0;
-  if (options_.kernel == SpdKernel::kClassic || degenerate) {
-    RunClassic(source);
-  } else {
-    RunHybrid(source);
-  }
-
-  total_stats_.edges_examined += last_stats_.edges_examined;
-  total_stats_.top_down_levels += last_stats_.top_down_levels;
-  total_stats_.bottom_up_levels += last_stats_.bottom_up_levels;
-  total_stats_.direction_switches += last_stats_.direction_switches;
-}
-
-void BfsSpd::RunClassic(VertexId source) {
-  dag_.dist[source] = 0;
-  dag_.sigma[source] = 1;
-  frontier_.clear();
-  frontier_.push_back(source);
-  // Degree sum of the current frontier, maintained incrementally (add each
-  // discovery's degree) so the parallel-or-sequential choice for a level
-  // is known before expanding it.
-  std::uint64_t frontier_edges = graph_->degree(source);
-  std::uint32_t depth = 0;
-  while (!frontier_.empty()) {
-    dag_.level_offsets.push_back(dag_.order.size());
-    dag_.order.insert(dag_.order.end(), frontier_.begin(), frontier_.end());
-    next_.clear();
-    last_stats_.edges_examined += frontier_edges;
-    ++last_stats_.top_down_levels;
-    std::uint64_t next_edges = 0;
-    std::uint64_t ignored_in_edges = 0;
-    if (UseParallel(frontier_edges)) {
-      next_edges = TopDownLevelParallel(depth, /*record_preds=*/false,
-                                        &ignored_in_edges);
-    } else {
-      for (VertexId u : frontier_) {
-        const SigmaCount su = dag_.sigma[u];
-        for (VertexId v : graph_->neighbors(u)) {
-          if (dag_.dist[v] == kUnreachedDistance) {
-            dag_.dist[v] = depth + 1;
-            next_.push_back(v);
-            next_edges += graph_->degree(v);
-          }
-          if (dag_.dist[v] == depth + 1) dag_.sigma[v] += su;
-        }
-      }
-      // Canonicalize the next level: ascending vertex id, so the stored
-      // order (and the frontier the next iteration expands, which fixes
-      // the sigma fold) is independent of discovery order.
-      std::sort(next_.begin(), next_.end());
-    }
-    frontier_.swap(next_);
-    frontier_edges = next_edges;
-    ++depth;
-  }
-  dag_.level_offsets.push_back(dag_.order.size());
-}
-
-void BfsSpd::RunHybrid(VertexId source) {
   const VertexId n = graph_->num_vertices();
   if (visited_.empty()) {
-    visited_.assign((static_cast<std::size_t>(n) + 63) / 64, 0);
+    // First pass: size the visited bitmap and the predecessor storage.
     // Parents reach a vertex over its in-edges, so predecessor capacity is
     // the in-CSR layout (aliases the out-CSR when undirected).
+    visited_.assign((static_cast<std::size_t>(n) + 63) / 64, 0);
     dag_.pred_begin = graph_->raw_in_offsets().data();
     dag_.pred_count.assign(n, 0);
     dag_.pred_storage.assign(graph_->raw_in_adjacency().size(),
                              kInvalidVertex);
   }
+  // Reset only what the previous pass touched.
+  for (VertexId v : dag_.order) {
+    dag_.dist[v] = kUnreachedDistance;
+    dag_.sigma[v] = 0;
+    ClearVisited(v);
+    dag_.pred_count[v] = 0;
+  }
+  dag_.order.clear();
+  dag_.level_offsets.clear();
+  dag_.source = source;
+  last_stats_ = Stats();
+
   // Bits past n in the last bitmap word never correspond to vertices; mask
   // them out of every bottom-up word scan.
   const std::uint64_t tail_mask =
@@ -215,8 +149,7 @@ void BfsSpd::RunHybrid(VertexId source) {
       ++last_stats_.top_down_levels;
       last_stats_.edges_examined += frontier_edges;
       if (UseParallel(frontier_edges)) {
-        next_edges =
-            TopDownLevelParallel(depth, /*record_preds=*/true, &next_in_edges);
+        next_edges = TopDownLevelParallel(depth, &next_in_edges);
       } else {
         for (VertexId u : frontier_) {
           const SigmaCount su = dag_.sigma[u];
@@ -247,7 +180,11 @@ void BfsSpd::RunHybrid(VertexId source) {
     ++depth;
   }
   dag_.level_offsets.push_back(dag_.order.size());
-  dag_.has_predecessors = true;
+
+  total_stats_.edges_examined += last_stats_.edges_examined;
+  total_stats_.top_down_levels += last_stats_.top_down_levels;
+  total_stats_.bottom_up_levels += last_stats_.bottom_up_levels;
+  total_stats_.direction_switches += last_stats_.direction_switches;
 }
 
 void BfsSpd::EnsureParallelScratch() {
@@ -258,7 +195,7 @@ void BfsSpd::EnsureParallelScratch() {
   // function of |V|, never of the thread count: the smallest power-of-two
   // word span that yields at most kFrontierShards ranges. Word alignment
   // makes every visited-bitmap word single-owner, so bottom-up steps and
-  // hybrid discovery write the bitmap without synchronization.
+  // top-down discovery write the bitmap without synchronization.
   const std::size_t words_per_range =
       std::bit_ceil((n_words + kFrontierShards - 1) / kFrontierShards);
   range_shift_ =
@@ -272,7 +209,6 @@ void BfsSpd::EnsureParallelScratch() {
 }
 
 std::uint64_t BfsSpd::TopDownLevelParallel(std::uint32_t depth,
-                                           bool record_preds,
                                            std::uint64_t* next_in_edges) {
   EnsureParallelScratch();
   // Phase 1 — fan out over fixed frontier shards: each shard examines its
@@ -304,13 +240,13 @@ std::uint64_t BfsSpd::TopDownLevelParallel(std::uint32_t depth,
   // in ascending shard order and each shard bucketed its parents in
   // ascending frontier order, so for any fixed v the contributions arrive
   // in ascending parent id — the exact fold order of the sequential
-  // kernels, making the (floating-point) sigma sums bit-identical. Every
+  // steps, making the (floating-point) sigma sums bit-identical. Every
   // write lands in the owner's range; sigma/dist reads of parents touch
   // the previous level only, which no one writes here.
   std::uint64_t next_edges = 0;
   ParallelShardedLevel(
       pool_.get(), num_ranges_,
-      [this, depth, record_preds](unsigned, std::size_t range) {
+      [this, depth](unsigned, std::size_t range) {
         std::vector<VertexId>& seg = range_next_[range];
         seg.clear();
         std::uint64_t seg_edges = 0;
@@ -321,16 +257,14 @@ std::uint64_t BfsSpd::TopDownLevelParallel(std::uint32_t depth,
           for (const TdCandidate& c : bucket) {
             if (dag_.dist[c.v] == kUnreachedDistance) {
               dag_.dist[c.v] = depth + 1;
-              if (record_preds) SetVisited(c.v);
+              SetVisited(c.v);
               seg.push_back(c.v);
               seg_edges += graph_->degree(c.v);
               seg_in_edges += graph_->in_degree(c.v);
             }
             dag_.sigma[c.v] += dag_.sigma[c.u];
-            if (record_preds) {
-              dag_.pred_storage[dag_.pred_begin[c.v] + dag_.pred_count[c.v]++] =
-                  c.u;
-            }
+            dag_.pred_storage[dag_.pred_begin[c.v] + dag_.pred_count[c.v]++] =
+                c.u;
           }
           bucket.clear();
         }

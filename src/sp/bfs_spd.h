@@ -11,30 +11,25 @@
 /// \file
 /// Unweighted shortest-path-DAG construction by level-synchronous BFS.
 ///
-/// Two kernels behind one engine (selected via SpdOptions::kernel):
+/// One kernel: direction-optimizing traversal (Beamer, "Direction-
+/// Optimizing Breadth-First Search"). Per level it expands the frontier
+/// top-down or scans unvisited vertices bottom-up against a visited
+/// bitmap, whichever examines fewer edges (the α/β heuristics in
+/// SpdOptions; alpha <= 0 pins every level top-down). Sigma counting stays
+/// exact in both directions: a bottom-up step sums sigma over a vertex's
+/// neighbors at the previous depth — the same ascending-parent fold a
+/// top-down step performs against the sorted frontier — so dist, sigma,
+/// and the canonical order are bit-identical across α/β settings.
 ///
-///   kClassic — top-down expansion on every level.
-///   kHybrid  — direction-optimizing traversal (Beamer, "Direction-
-///              Optimizing Breadth-First Search"): per level, expand the
-///              frontier top-down or scan unvisited vertices bottom-up
-///              against a visited bitmap, whichever examines fewer edges
-///              (the α/β heuristics in SpdOptions). Sigma counting stays
-///              exact in both directions: a bottom-up step sums sigma over
-///              a vertex's neighbors at the previous depth — the same
-///              ascending-parent fold a top-down step performs against the
-///              sorted frontier — so dist, sigma, and the canonical order
-///              are bit-identical across kernels and α/β settings.
-///
-/// Both kernels emit the canonical DAG order (ascending vertex id within
-/// each level, level slices recorded in ShortestPathDag::level_offsets).
-/// The hybrid kernel additionally records explicit predecessor lists while
-/// it traverses — it inspects every parent edge anyway — which is what lets
-/// the fused backward sweep (sp/dependency.h) walk SPD edges only instead
-/// of re-deriving parents by full neighbor rescans.
+/// Every pass emits the canonical DAG order (ascending vertex id within
+/// each level, level slices recorded in ShortestPathDag::level_offsets)
+/// and records explicit predecessor lists while it traverses — it
+/// inspects every parent edge anyway — so the backward sweep
+/// (sp/dependency.h) walks SPD edges only.
 ///
 /// Intra-pass parallelism (SpdOptions::num_threads > 1) runs the level
-/// steps of either kernel frontier-parallel while keeping every output
-/// bit-identical to the sequential pass. The structure is fixed and
+/// steps frontier-parallel while keeping every output bit-identical to
+/// the sequential pass. The structure is fixed and
 /// thread-count-independent (the same discipline BrandesBetweenness uses
 /// across sources):
 ///
@@ -53,7 +48,7 @@
 ///     parents against a read-only frontier bitmap.
 ///   * Per-range next-frontier segments are sorted locally and
 ///     concatenated in range order, reproducing the globally sorted
-///     frontier the sequential kernels build.
+///     frontier the sequential steps build.
 ///
 /// Levels below SpdOptions::parallel_grain examined edges run the
 /// (identical-output) sequential step, so tiny levels pay no fan-out cost.
@@ -103,8 +98,8 @@ class BfsSpd {
   explicit BfsSpd(const CsrGraph& graph, SpdOptions options = SpdOptions());
   ~BfsSpd();
 
-  /// Computes dist/sigma/order (+ level offsets, + predecessors for the
-  /// hybrid kernel) from `source`.
+  /// Computes dist/sigma/order, level offsets and predecessors from
+  /// `source`.
   void Run(VertexId source);
 
   /// Result of the last Run. Valid until the next Run.
@@ -117,24 +112,12 @@ class BfsSpd {
   const Stats& last_stats() const { return last_stats_; }
   const Stats& total_stats() const { return total_stats_; }
 
-  /// True once the hybrid scratch (visited bitmap + predecessor storage)
-  /// has been allocated. The classic kernel never allocates it, and the
-  /// hybrid kernel falls back to the classic path — without touching the
-  /// scratch — on degenerate graphs (no edges or a single vertex), where
-  /// direction optimization has nothing to optimize.
-  bool hybrid_scratch_allocated() const { return !visited_.empty(); }
-
   /// The engine's intra-pass worker pool; null when the pass is sequential
   /// (SpdOptions::num_threads resolved to 1). The fused dependency sweep
   /// borrows this pool so one pass + accumulate uses one set of threads.
   ThreadPool* intra_pool() const { return pool_.get(); }
 
  private:
-  /// Top-down-only level loop (also the degenerate-graph fallback).
-  void RunClassic(VertexId source);
-  /// Direction-optimizing level loop.
-  void RunHybrid(VertexId source);
-
   /// True when a level with `level_edges` of work should fan out: a pool
   /// exists and the level clears the (thread-count-independent) grain.
   bool UseParallel(std::uint64_t level_edges) const {
@@ -146,12 +129,10 @@ class BfsSpd {
   /// Frontier-parallel top-down level step: settles depth+1, fills next_
   /// (sorted) and returns its out-degree sum; adds the new level's
   /// in-degree sum (the bottom-up cost ledger, which differs from the
-  /// out-degree sum on directed graphs) to *next_in_edges. record_preds
-  /// selects the hybrid variant (visited bits + predecessor lists).
-  std::uint64_t TopDownLevelParallel(std::uint32_t depth, bool record_preds,
+  /// out-degree sum on directed graphs) to *next_in_edges.
+  std::uint64_t TopDownLevelParallel(std::uint32_t depth,
                                      std::uint64_t* next_in_edges);
-  /// Word-range-parallel bottom-up level step; same outputs as above,
-  /// always records predecessors (hybrid only).
+  /// Word-range-parallel bottom-up level step; same outputs as above.
   std::uint64_t BottomUpLevelParallel(std::uint32_t depth,
                                       std::uint64_t tail_mask,
                                       std::uint64_t* next_in_edges);
@@ -169,8 +150,7 @@ class BfsSpd {
   /// Frontier scratch: current level / next level under construction.
   std::vector<VertexId> frontier_;
   std::vector<VertexId> next_;
-  /// Visited bitmap (one bit per vertex); lazily allocated by the first
-  /// hybrid pass, empty otherwise.
+  /// Visited bitmap (one bit per vertex).
   std::vector<std::uint64_t> visited_;
   Stats last_stats_;
   Stats total_stats_;

@@ -26,7 +26,6 @@ DeltaSpd::DeltaSpd(const CsrGraph& graph, SpdOptions options)
   dag_.pred_begin = graph.raw_in_offsets().data();
   dag_.pred_count.assign(n, 0);
   dag_.pred_storage.assign(graph.raw_in_adjacency().size(), kInvalidVertex);
-  dag_.has_predecessors = true;
   settled_.assign(n, 0);
   wave_.reserve(n);
 

@@ -11,12 +11,12 @@
 /// \file
 /// Weighted shortest-path-DAG construction by canonical-wave delta-stepping.
 ///
-/// The weighted analogue of the hybrid BFS engine: one pass costs
+/// The weighted analogue of the BFS engine (sp/bfs_spd.h): one pass costs
 /// O(|E| + waves * window) like delta-stepping (Meyer & Sanders), but the
 /// settle schedule is *canonical* — a pure function of the graph and the
 /// source, never of the bucket width or the thread count — so weighted
-/// passes join the determinism contract the unweighted kernels already
-/// honor.
+/// passes join the determinism contract the unweighted kernel already
+/// honors.
 ///
 /// The wave rule. Let d_min be the smallest tentative distance over all
 /// reached-but-unsettled vertices and minw(v) the smallest weight incident
@@ -40,7 +40,7 @@
 /// topological, exactly what the backward dependency sweep needs. Waves
 /// are recorded as ShortestPathDag::level_offsets with members in
 /// ascending (wdist, id) order, so weighted passes reuse the *same* fused
-/// level-parallel sweep (sp/dependency.h) as hybrid BFS. Note the order is
+/// level-parallel sweep (sp/dependency.h) as BFS. Note the order is
 /// NOT globally distance-sorted (a heap engine's order is): a vertex with
 /// a large minw may settle before a nearer vertex with a small minw.
 ///

@@ -26,15 +26,14 @@ const std::vector<double>& DependencyAccumulator::Accumulate(
     // qualify (Dijkstra DAGs keep the sequential reverse-settle sweep).
     AccumulateLevels(dag, graph);
   } else {
-    // ForEachParent walks the recorded SPD edges when the pass stored them
-    // (the fused path — no non-DAG edge is touched) and re-derives parents
-    // from dist otherwise (classic BFS passes).
-    ForEachDeepestFirst(dag, [this, &dag, &graph](VertexId w) {
+    // The sweep walks the recorded SPD edges only; no non-DAG edge is
+    // touched.
+    ForEachDeepestFirst(dag, [this, &dag](VertexId w) {
       const double coeff =
           (1.0 + delta_[w]) / static_cast<double>(dag.sigma[w]);
-      ForEachParent(dag, graph, w, [this, &dag, coeff](VertexId v) {
+      for (VertexId v : dag.predecessors(w)) {
         delta_[v] += static_cast<double>(dag.sigma[v]) * coeff;
-      });
+      }
     });
   }
   delta_[dag.source] = 0.0;  // dependency of s on itself is undefined/0
@@ -75,9 +74,9 @@ void DependencyAccumulator::AccumulateLevels(const ShortestPathDag& dag,
         const VertexId w = dag.order[i];
         const double coeff =
             (1.0 + delta_[w]) / static_cast<double>(dag.sigma[w]);
-        ForEachParent(dag, graph, w, [this, &dag, coeff](VertexId v) {
+        for (VertexId v : dag.predecessors(w)) {
           delta_[v] += static_cast<double>(dag.sigma[v]) * coeff;
-        });
+        }
       }
       continue;
     }
@@ -88,7 +87,7 @@ void DependencyAccumulator::AccumulateLevels(const ShortestPathDag& dag,
     // all writes go to the shard's private bucket row.
     ParallelShardedLevel(
         pool_, BfsSpd::kFrontierShards,
-        [this, &dag, &graph, lo, hi](unsigned, std::size_t shard) {
+        [this, &dag, lo, hi](unsigned, std::size_t shard) {
           const auto [begin, end] =
               ShardBounds(hi - lo, shard, BfsSpd::kFrontierShards);
           std::vector<Contribution>* row =
@@ -97,11 +96,10 @@ void DependencyAccumulator::AccumulateLevels(const ShortestPathDag& dag,
             const VertexId w = dag.order[i];
             const double coeff =
                 (1.0 + delta_[w]) / static_cast<double>(dag.sigma[w]);
-            ForEachParent(dag, graph, w,
-                          [this, &dag, coeff, row](VertexId v) {
-                            row[v >> range_shift_].push_back(
-                                {v, static_cast<double>(dag.sigma[v]) * coeff});
-                          });
+            for (VertexId v : dag.predecessors(w)) {
+              row[v >> range_shift_].push_back(
+                  {v, static_cast<double>(dag.sigma[v]) * coeff});
+            }
           }
         },
         // Nothing to merge: phase 2 consumes the buckets in shard order.
@@ -136,71 +134,6 @@ const std::vector<double>& DependencyAccumulator::Accumulate(
 const std::vector<double>& DependencyAccumulator::Accumulate(
     const DeltaSpd& delta) {
   return Accumulate(delta.dag(), delta.graph());
-}
-
-const std::vector<double>& DependencyAccumulator::Accumulate(
-    const DijkstraSpd& dijkstra) {
-  return Accumulate(dijkstra.dag(), dijkstra.graph());
-}
-
-namespace {
-
-/// The graph a "distance to t" BFS must run on: the graph itself when
-/// undirected, its transpose when directed (dist(v, t) in G equals
-/// dist(t, v) in Gᵀ). The transpose view borrows the graph's in-CSR
-/// arrays, so it must not outlive `graph`.
-CsrGraph ReverseViewFor(const CsrGraph& graph) {
-  if (!graph.directed()) return graph;
-  return CsrGraph::WrapExternal(graph.raw_in_offsets(),
-                                graph.raw_in_adjacency(), {}, graph.name(),
-                                /*directed=*/true);
-}
-
-}  // namespace
-
-std::vector<double> PairDependencies(const CsrGraph& graph, VertexId s,
-                                     VertexId t) {
-  MHBC_DCHECK(s < graph.num_vertices());
-  MHBC_DCHECK(t < graph.num_vertices());
-  std::vector<double> result(graph.num_vertices(), 0.0);
-  if (s == t) return result;
-  const CsrGraph reverse = ReverseViewFor(graph);
-  BfsSpd from_s(graph);
-  BfsSpd from_t(reverse);
-  from_s.Run(s);
-  from_t.Run(t);
-  const auto& ds = from_s.dag();
-  const auto& dt = from_t.dag();
-  if (ds.dist[t] == kUnreachedDistance) return result;
-  const std::uint32_t dist_st = ds.dist[t];
-  const double sigma_st = static_cast<double>(ds.sigma[t]);
-  for (VertexId v = 0; v < graph.num_vertices(); ++v) {
-    if (v == s || v == t) continue;
-    if (ds.dist[v] == kUnreachedDistance || dt.dist[v] == kUnreachedDistance)
-      continue;
-    if (ds.dist[v] + dt.dist[v] == dist_st) {
-      result[v] = static_cast<double>(ds.sigma[v]) *
-                  static_cast<double>(dt.sigma[v]) / sigma_st;
-    }
-  }
-  return result;
-}
-
-SigmaCount CountPathsThrough(const CsrGraph& graph, VertexId s, VertexId t,
-                             VertexId v) {
-  MHBC_DCHECK(v != s && v != t);
-  const CsrGraph reverse = ReverseViewFor(graph);
-  BfsSpd from_s(graph);
-  BfsSpd from_t(reverse);
-  from_s.Run(s);
-  from_t.Run(t);
-  const auto& ds = from_s.dag();
-  const auto& dt = from_t.dag();
-  if (ds.dist[t] == kUnreachedDistance) return 0;
-  if (ds.dist[v] == kUnreachedDistance || dt.dist[v] == kUnreachedDistance)
-    return 0;
-  if (ds.dist[v] + dt.dist[v] != ds.dist[t]) return 0;
-  return ds.sigma[v] * dt.sigma[v];
 }
 
 }  // namespace mhbc

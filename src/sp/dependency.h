@@ -5,7 +5,6 @@
 #include "graph/csr_graph.h"
 #include "sp/bfs_spd.h"
 #include "sp/delta_spd.h"
-#include "sp/dijkstra_spd.h"
 
 /// \file
 /// Brandes dependency accumulation over a shortest-path DAG.
@@ -14,21 +13,18 @@
 /// every vertex v via the recursion (paper Eq. 4):
 ///   delta_{s.}(v) = sum over SPD-successors w of v of
 ///                   sigma_sv / sigma_sw * (1 + delta_{s.}(w)).
-/// One accumulation costs O(|E|) after a BFS pass, O(|E|) after a weighted
-/// pass — and only O(|SPD edges|) when the pass recorded explicit
-/// predecessor lists (the weighted engines and the hybrid BFS kernel do),
-/// because the backward sweep then walks the recorded parents instead of
-/// re-deriving them by full neighbor rescans.
+/// One accumulation costs O(|SPD edges|): every SPD engine records
+/// explicit predecessor lists, and the backward sweep walks only those.
 ///
 /// The sweep order is fixed by ForEachDeepestFirst (sp/spd.h): levels
 /// deepest-first, in the DAG's canonical within-level order (ascending id
 /// for BFS levels, ascending (wdist, id) for DeltaSpd waves). That order
 /// is a property of the DAG alone — not of the traversal direction that
 /// built it — which is what makes dependency vectors bit-identical across
-/// SPD kernels and α/β settings.
+/// α/β settings.
 ///
 /// With a borrowed worker pool the sweep runs level-parallel under the
-/// same fixed-shard discipline as the BFS kernels for every DAG that
+/// same fixed-shard discipline as BfsSpd for every DAG that
 /// carries level offsets — BFS levels and DeltaSpd settle waves alike: per
 /// level, fixed shards of the level slice bucket per-parent contributions
 /// sigma_v * coeff_w by destination range, then each range owner folds its
@@ -57,17 +53,16 @@ class DependencyAccumulator {
                                      SpdOptions{}.parallel_grain);
 
   /// Accumulates dependencies of `dag.source` on all vertices — the single
-  /// backward-sweep implementation every pass flavor (classic BFS, hybrid
-  /// BFS, Dijkstra) funnels through. `graph` must be the graph the pass
-  /// ran on; it is consulted only when the DAG carries no predecessor
-  /// lists. Result valid until the next Accumulate call.
+  /// backward-sweep implementation every pass flavor (BFS, delta-stepping,
+  /// Dijkstra) funnels through. `graph` must be the graph the pass ran on;
+  /// the level-parallel sweep sizes its per-level work from it. Result
+  /// valid until the next Accumulate call.
   const std::vector<double>& Accumulate(const ShortestPathDag& dag,
                                         const CsrGraph& graph);
 
   /// Convenience overloads for the engines.
   const std::vector<double>& Accumulate(const BfsSpd& bfs);
   const std::vector<double>& Accumulate(const DeltaSpd& delta);
-  const std::vector<double>& Accumulate(const DijkstraSpd& dijkstra);
 
   /// Dependency of the last pass' source on v (0 for unreached vertices and
   /// for the source itself).
@@ -103,18 +98,5 @@ class DependencyAccumulator {
   /// Contribution buckets, indexed [shard * num_ranges_ + range].
   std::vector<std::vector<Contribution>> buckets_;
 };
-
-/// Pair dependency delta_{st}(v) = sigma_st(v) / sigma_st for all v, given a
-/// fresh BFS engine. O(|V| + |E|) per (s, t) pair; used by tests as an
-/// independent oracle for the recursion and by the extended relative score.
-/// Unreachable t yields all-zeros.
-std::vector<double> PairDependencies(const CsrGraph& graph, VertexId s,
-                                     VertexId t);
-
-/// sigma_st(v): number of shortest s-t paths through interior vertex v,
-/// computed from two BFS passes as sigma_sv * sigma_vt when
-/// d(s,v) + d(v,t) == d(s,t). Exposed for tests.
-SigmaCount CountPathsThrough(const CsrGraph& graph, VertexId s, VertexId t,
-                             VertexId v);
 
 }  // namespace mhbc

@@ -3,7 +3,6 @@
 #include <span>
 #include <vector>
 
-#include "graph/csr_graph.h"
 #include "util/common.h"
 
 /// \file
@@ -16,19 +15,6 @@
 
 namespace mhbc {
 
-/// Which traversal the unweighted SPD engine (BfsSpd) runs.
-enum class SpdKernel {
-  /// Level-synchronous top-down expansion on every level — the reference
-  /// kernel; examines every edge of the reached component twice per pass.
-  kClassic,
-  /// Direction-optimizing (Beamer-style) traversal: per level, switches
-  /// between top-down edge expansion and bottom-up parent scanning using
-  /// the edge-count heuristics below. Exact sigma counting in both
-  /// directions; on low-diameter graphs the peak levels run bottom-up and
-  /// the pass examines a fraction of the edges. The default.
-  kHybrid,
-};
-
 /// Default relative tie window for weighted passes: two floating-point
 /// path lengths within this relative distance count as the same shortest
 /// distance (the canonical tie rule both weighted engines share — see
@@ -36,15 +22,14 @@ enum class SpdKernel {
 inline constexpr double kDefaultTieEpsilon = 1e-12;
 
 /// Tuning knobs for the SPD engines (BfsSpd for unweighted graphs,
-/// DeltaSpd/DijkstraSpd for weighted). Every knob except tie_epsilon —
-/// kernel choice, the α/β thresholds, the thread count, the parallel
-/// grain, the bucket width — changes only the work a pass does: dist,
+/// DeltaSpd for weighted). Every knob except tie_epsilon — the α/β
+/// thresholds, the thread count, the parallel grain, the bucket width —
+/// changes only the work a pass does: dist,
 /// sigma, the canonical order, and every dependency vector downstream are
 /// bit-identical across all settings (see BfsSpd and DeltaSpd for why).
 /// tie_epsilon is an *accuracy* knob (it defines which weighted paths
 /// count as shortest) and therefore part of the determinism key.
 struct SpdOptions {
-  SpdKernel kernel = SpdKernel::kHybrid;
   /// Intra-pass parallelism: number of threads one SPD pass (and its fused
   /// dependency accumulation) may use for frontier-parallel level steps.
   /// 0 means "inherit": an owning BetweennessEngine substitutes its own
@@ -70,7 +55,8 @@ struct SpdOptions {
   /// build this level". Exact sigma counting cannot early-exit the parent
   /// scan (Beamer's reachability-only BFS can, hence his much larger
   /// alpha = 14); the default here is the bench_e20 sweep optimum across
-  /// the registry graphs. alpha <= 0 disables bottom-up entirely.
+  /// the registry graphs. alpha <= 0 disables bottom-up entirely: every
+  /// level then runs top-down.
   double alpha = 3.0;
   /// Secondary bottom-up exit (Beamer's CBT): also return to top-down once
   /// the frontier is shrinking and has fewer than n / beta vertices.
@@ -131,16 +117,14 @@ struct ShortestPathDag {
   /// reaches it over an in-edge, so a parent list can never outgrow the
   /// in-degree; on undirected graphs the in-CSR aliases the out-CSR), so
   /// it stays valid exactly as long as the
-  /// graph the engine is bound to — no per-engine copy. Filled by the
-  /// Dijkstra engine (parents in settle order) and by the hybrid BFS
-  /// kernel (parents in ascending id — the same sequence a sorted
-  /// neighbor scan yields, which is what keeps the accumulation
-  /// regrouping kernel-independent). Classic BFS passes leave
-  /// has_predecessors false; parents are then re-derived from dist.
+  /// graph the engine is bound to — no per-engine copy. Every engine fills
+  /// it: BfsSpd with parents in ascending id (top-down and bottom-up steps
+  /// record the same sequence, which keeps the accumulation regrouping
+  /// independent of the traversal direction), the weighted engines with
+  /// parents in their canonical settle order.
   const EdgeId* pred_begin = nullptr;
   std::vector<std::uint32_t> pred_count;
   std::vector<VertexId> pred_storage;
-  bool has_predecessors = false;
   /// The source of the pass.
   VertexId source = kInvalidVertex;
   /// True if the pass used edge weights.
@@ -154,7 +138,8 @@ struct ShortestPathDag {
     return level_offsets.empty() ? 0 : level_offsets.size() - 1;
   }
 
-  /// Parents of v in the SPD; valid only when has_predecessors.
+  /// Parents of v in the SPD — the single parent enumeration every
+  /// backward sweep walks.
   std::span<const VertexId> predecessors(VertexId v) const {
     MHBC_DCHECK(v < pred_count.size());
     return {pred_storage.data() + pred_begin[v],
@@ -164,8 +149,8 @@ struct ShortestPathDag {
 
 /// Visits every reached vertex in the fixed backward-sweep order the
 /// dependency accumulators use: levels deepest-first, ascending vertex id
-/// within a level when the DAG carries level offsets (BFS kernels), falling
-/// back to reverse settle order (Dijkstra). This single definition is what
+/// within a level when the DAG carries level offsets (BFS levels, DeltaSpd
+/// waves), falling back to reverse settle order (heap-order Dijkstra DAGs). This single definition is what
 /// pins the floating-point regrouping of every backward sweep in the
 /// library, so it must not fork per caller.
 template <typename Visit>
@@ -180,28 +165,6 @@ void ForEachDeepestFirst(const ShortestPathDag& dag, Visit&& visit) {
   } else {
     for (auto it = dag.order.rbegin(); it != dag.order.rend(); ++it) {
       visit(*it);
-    }
-  }
-}
-
-/// Visits every SPD parent of `w`: the recorded predecessor list when the
-/// pass stored one, else the in-neighbors one hop closer to the source
-/// (unweighted re-derivation from dist; a parent reaches w over an
-/// in-edge, and on undirected graphs the in-neighbor list aliases the
-/// neighbor list). For unweighted passes the enumeration order is
-/// ascending parent id either way — recorded lists repeat the sorted
-/// in-neighbor scan — so backward sweeps regroup identically whichever
-/// path runs. Like ForEachDeepestFirst, this is the single definition of
-/// parent enumeration; sweeps must not fork their own.
-template <typename Visit>
-void ForEachParent(const ShortestPathDag& dag, const CsrGraph& graph,
-                   VertexId w, Visit&& visit) {
-  if (dag.has_predecessors) {
-    for (VertexId v : dag.predecessors(w)) visit(v);
-  } else {
-    const std::uint32_t dw = dag.dist[w];
-    for (VertexId v : graph.in_neighbors(w)) {
-      if (dag.dist[v] + 1 == dw) visit(v);
     }
   }
 }

@@ -1,4 +1,4 @@
-#include "sp/apsp_oracle.h"
+#include "support/apsp_oracle.h"
 
 #include <gtest/gtest.h>
 
@@ -8,7 +8,7 @@
 #include "graph/generators.h"
 #include "graph/graph_builder.h"
 #include "sp/bfs_spd.h"
-#include "sp/dijkstra_spd.h"
+#include "support/dijkstra_spd.h"
 
 namespace mhbc {
 namespace {

@@ -1,4 +1,4 @@
-#include "sp/dijkstra_spd.h"
+#include "support/dijkstra_spd.h"
 
 #include <gtest/gtest.h>
 

@@ -241,27 +241,27 @@ TEST(DirectedBrandesTest, DirectedDiffersFromSymmetrizedLoad) {
 
 constexpr unsigned kThreadCounts[] = {1, 2, 4, 8};
 
-TEST(DirectedSpdKernelTest, BfsKernelsBitIdenticalAcrossThreads) {
+TEST(DirectedKernelTest, BfsKernelsBitIdenticalAcrossThreads) {
   const CsrGraph g = MakeDirectedLcg(300, 900, 0xB5);
   const VertexId sources[] = {0, 7, 150};
   for (VertexId source : sources) {
     SpdOptions base;
-    base.kernel = SpdKernel::kClassic;
+    base.alpha = 0.0;  // top-down only
     base.num_threads = 1;
     BfsSpd baseline(g, base);
     baseline.Run(source);
     const ShortestPathDag want = baseline.dag();
-    for (SpdKernel kernel : {SpdKernel::kClassic, SpdKernel::kHybrid}) {
+    for (double alpha : {0.0, SpdOptions{}.alpha}) {
       for (unsigned threads : kThreadCounts) {
         SpdOptions options;
-        options.kernel = kernel;
+        options.alpha = alpha;
         options.num_threads = threads;
         options.parallel_grain = 0;  // force the parallel steps
         BfsSpd engine(g, options);
         engine.Run(source);
         const ShortestPathDag& got = engine.dag();
         const std::string label =
-            (kernel == SpdKernel::kClassic ? "classic @" : "hybrid @") +
+            (alpha == 0.0 ? "top-down @" : "hybrid @") +
             std::to_string(threads) + " threads, source " +
             std::to_string(source);
         EXPECT_EQ(got.dist, want.dist) << label;
@@ -273,7 +273,7 @@ TEST(DirectedSpdKernelTest, BfsKernelsBitIdenticalAcrossThreads) {
   }
 }
 
-TEST(DirectedSpdKernelTest, DeltaKernelBitIdenticalAcrossThreads) {
+TEST(DirectedKernelTest, DeltaKernelBitIdenticalAcrossThreads) {
   const CsrGraph g = MakeDirectedLcg(250, 700, 0xDE, /*weighted=*/true);
   ASSERT_TRUE(g.weighted());
   const VertexId sources[] = {0, 42, 125};
@@ -300,7 +300,7 @@ TEST(DirectedSpdKernelTest, DeltaKernelBitIdenticalAcrossThreads) {
   }
 }
 
-TEST(DirectedSpdKernelTest, ExactScoresThreadInvariant) {
+TEST(DirectedKernelTest, ExactScoresThreadInvariant) {
   const CsrGraph g = MakeDirectedLcg(200, 600, 0xE7);
   const std::vector<double> exact_baseline = ExactBetweenness(g);
   const std::vector<double> sharded_baseline =

@@ -423,8 +423,8 @@ TEST(DependencyOracleDeltaTest, VertexAppendExtendsSurvivingPasses) {
 // The lockdown the dynamic-graph subsystem answers to: for every random
 // edit script, every statistical field an ApplyDelta-refreshed engine
 // reports must be bit-identical to a cold engine constructed on the
-// scratch-rebuilt post-edit graph — at 1/2/4 threads and under both SPD
-// kernels. The matrix below runs 216 scripts through that check (36 per
+// scratch-rebuilt post-edit graph — at 1/2/4 threads, with the BFS kernel
+// pinned top-down (alpha = 0) and direction-optimizing. The matrix below runs 216 scripts through that check (36 per
 // configuration, mutating continuously across scripts so multi-epoch
 // cache state is exercised), plus the structural sweep further down.
 
@@ -439,11 +439,16 @@ void ExpectReportsIdentical(const EstimateReport& a, const EstimateReport& b,
   EXPECT_EQ(a.converged, b.converged) << where;
 }
 
-void RunEquivalenceSweep(unsigned num_threads, SpdKernel kernel,
+/// SpdOptions::alpha values the sweep runs: 0 pins every BFS level
+/// top-down; the default lets the kernel switch direction.
+constexpr double kTopDownOnly = 0.0;
+constexpr double kHybrid = SpdOptions{}.alpha;
+
+void RunEquivalenceSweep(unsigned num_threads, double alpha,
                          std::uint64_t seed_base, int num_scripts) {
   EngineOptions options;
   options.num_threads = num_threads;
-  options.spd.kernel = kernel;
+  options.spd.alpha = alpha;
 
   const CsrGraph start = MakeConnectedCaveman(5, 8);  // n = 40
   Model model = Model::FromGraph(start);
@@ -482,28 +487,28 @@ void RunEquivalenceSweep(unsigned num_threads, SpdKernel kernel,
           "script " + std::to_string(script) + " target " +
               std::to_string(targets[i]) + " threads " +
               std::to_string(num_threads) + " kernel " +
-              (kernel == SpdKernel::kClassic ? "classic" : "hybrid"));
+              (alpha == kTopDownOnly ? "top-down" : "hybrid"));
     }
   }
 }
 
-TEST(DynamicEquivalenceTest, Threads1Classic) {
-  RunEquivalenceSweep(1, SpdKernel::kClassic, 1, 36);
+TEST(DynamicEquivalenceTest, Threads1TopDown) {
+  RunEquivalenceSweep(1, kTopDownOnly, 1, 36);
 }
 TEST(DynamicEquivalenceTest, Threads1Hybrid) {
-  RunEquivalenceSweep(1, SpdKernel::kHybrid, 2, 36);
+  RunEquivalenceSweep(1, kHybrid, 2, 36);
 }
-TEST(DynamicEquivalenceTest, Threads2Classic) {
-  RunEquivalenceSweep(2, SpdKernel::kClassic, 3, 36);
+TEST(DynamicEquivalenceTest, Threads2TopDown) {
+  RunEquivalenceSweep(2, kTopDownOnly, 3, 36);
 }
 TEST(DynamicEquivalenceTest, Threads2Hybrid) {
-  RunEquivalenceSweep(2, SpdKernel::kHybrid, 4, 36);
+  RunEquivalenceSweep(2, kHybrid, 4, 36);
 }
-TEST(DynamicEquivalenceTest, Threads4Classic) {
-  RunEquivalenceSweep(4, SpdKernel::kClassic, 5, 36);
+TEST(DynamicEquivalenceTest, Threads4TopDown) {
+  RunEquivalenceSweep(4, kTopDownOnly, 5, 36);
 }
 TEST(DynamicEquivalenceTest, Threads4Hybrid) {
-  RunEquivalenceSweep(4, SpdKernel::kHybrid, 6, 36);
+  RunEquivalenceSweep(4, kHybrid, 6, 36);
 }
 
 // Exact scores, iid source sampling, and the RK credit vector must also

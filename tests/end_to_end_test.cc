@@ -4,7 +4,7 @@
 #include <cstdio>
 #include <sstream>
 
-#include "centrality/api.h"
+#include "centrality/engine.h"
 #include "core/adaptive.h"
 #include "datasets/registry.h"
 #include "exact/brandes.h"
@@ -31,11 +31,11 @@ TEST(EndToEndTest, GenerateWriteLoadEstimateUnweighted) {
   const double after = ExactBetweennessSingle(loaded.value(), gateway);
   EXPECT_NEAR(before, after, 1e-12);
 
-  EstimateOptions options;
-  options.kind = EstimatorKind::kMhRaoBlackwell;
-  options.samples = 3'000;
-  options.seed = 5;
-  const auto estimate = EstimateBetweenness(loaded.value(), gateway, options);
+  EstimateRequest request;
+  request.kind = EstimatorKind::kMhRaoBlackwell;
+  request.samples = 3'000;
+  request.seed = 5;
+  const auto estimate = BetweennessEngine(loaded.value()).Estimate(gateway, request);
   ASSERT_TRUE(estimate.ok());
   EXPECT_NEAR(estimate.value().value, after, 0.1 * after);
 }
@@ -63,7 +63,7 @@ TEST(EndToEndTest, RegistryDatasetThroughJointRanking) {
   const CsrGraph graph = std::move(MakeDataset("caveman-36")).value();
   // The four gateway vertices of the caveman ring.
   const std::vector<VertexId> gateways{8, 17, 26, 35};
-  const auto order = RankByBetweenness(graph, gateways, 20'000, 0xE2E);
+  const auto order = BetweennessEngine(graph).RankTargets(gateways, 20'000, 0xE2E);
   ASSERT_TRUE(order.ok());
   // All four gateways are symmetric: any order is acceptable, but the call
   // must produce a complete permutation.
@@ -88,7 +88,7 @@ TEST(EndToEndTest, AdaptiveOnLoadedGraphMatchesChainLimit) {
 
 TEST(EndToEndTest, TopKAgreesWithExactOnRegistryDataset) {
   const CsrGraph graph = std::move(MakeDataset("caveman-36")).value();
-  const auto top = EstimateTopKBetweenness(graph, 4, 0.03, 0.1, 0x70F);
+  const auto top = BetweennessEngine(graph).TopK(4, 0.03, 0.1, 0x70F);
   ASSERT_TRUE(top.ok());
   const auto exact = ExactBetweenness(graph);
   // The caveman-36 top-4 are its four gateways; verify each returned

@@ -4,7 +4,7 @@
 
 #include <sstream>
 
-#include "centrality/api.h"
+#include "centrality/engine.h"
 #include "exact/brandes.h"
 #include "graph/generators.h"
 #include "graph/graph_builder.h"
@@ -49,10 +49,10 @@ TEST(FailureInjectionTest, EstimateOnDisconnectedGraphStaysFinite) {
   for (EstimatorKind kind :
        {EstimatorKind::kMetropolisHastings, EstimatorKind::kUniformSource,
         EstimatorKind::kShortestPath}) {
-    EstimateOptions options;
-    options.kind = kind;
-    options.samples = 300;
-    const auto result = EstimateBetweenness(g, 1, options);
+    EstimateRequest request;
+    request.kind = kind;
+    request.samples = 300;
+    const auto result = BetweennessEngine(g).Estimate(1, request);
     ASSERT_TRUE(result.ok()) << EstimatorKindName(kind);
     EXPECT_TRUE(std::isfinite(result.value().value));
     EXPECT_GE(result.value().value, 0.0);
@@ -69,10 +69,10 @@ TEST(FailureInjectionTest, TargetInTinyComponent) {
   for (EstimatorKind kind :
        {EstimatorKind::kMetropolisHastings, EstimatorKind::kUniformSource,
         EstimatorKind::kDistanceProportional}) {
-    EstimateOptions options;
-    options.kind = kind;
-    options.samples = 200;
-    const auto result = EstimateBetweenness(g, 8, options);
+    EstimateRequest request;
+    request.kind = kind;
+    request.samples = 200;
+    const auto result = BetweennessEngine(g).Estimate(8, request);
     ASSERT_TRUE(result.ok()) << EstimatorKindName(kind);
     EXPECT_DOUBLE_EQ(result.value().value, 0.0) << EstimatorKindName(kind);
   }
@@ -82,7 +82,7 @@ TEST(FailureInjectionTest, RelativeBetweennessWithZeroScoreTarget) {
   // One target is a leaf (BC = 0): ratios involving it divide by a zero
   // average; the sampler must flag rather than crash or emit inf.
   const CsrGraph g = MakeStar(8);
-  const auto result = EstimateRelativeBetweenness(g, {0, 3}, 2'000, 7);
+  const auto result = BetweennessEngine(g).EstimateRelative({0, 3}, 2'000, 7);
   ASSERT_TRUE(result.ok());
   const JointResult& jr = result.value();
   // relative[leaf][center] = 1 for every sample (delta_leaf = 0 convention
@@ -112,10 +112,10 @@ TEST(FailureInjectionTest, PathMultiplicityDoesNotOverflowSigma) {
     prev = next;
   }
   const CsrGraph g = std::move(builder.Build()).value();
-  EstimateOptions options;
-  options.kind = EstimatorKind::kMetropolisHastings;
-  options.samples = 100;
-  const auto result = EstimateBetweenness(g, 3, options);
+  EstimateRequest request;
+  request.kind = EstimatorKind::kMetropolisHastings;
+  request.samples = 100;
+  const auto result = BetweennessEngine(g).Estimate(3, request);
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(std::isfinite(result.value().value));
   EXPECT_GT(result.value().value, 0.0);
@@ -151,10 +151,10 @@ TEST(FailureInjectionTest, WeightedExtremeWeightRatios)  {
   b.AddWeightedEdge(3, 4, 1e3);
   b.AddWeightedEdge(0, 4, 1.0);
   const CsrGraph g = std::move(b.Build()).value();
-  EstimateOptions options;
-  options.kind = EstimatorKind::kMetropolisHastings;
-  options.samples = 500;
-  const auto result = EstimateBetweenness(g, 2, options);
+  EstimateRequest request;
+  request.kind = EstimatorKind::kMetropolisHastings;
+  request.samples = 500;
+  const auto result = BetweennessEngine(g).Estimate(2, request);
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(std::isfinite(result.value().value));
 }

@@ -37,17 +37,12 @@ TEST(ParallelBrandesTest, BitIdenticalAtEveryThreadCount) {
   }
 }
 
-TEST(ParallelBrandesTest, MatchesSequentialExactWithinRounding) {
-  // BrandesBetweenness regroups the per-source sum (fixed shards), so it
-  // may differ from ExactBetweenness by floating-point associativity only.
+TEST(ParallelBrandesTest, MatchesSequentialExactBitwise) {
+  // ExactBetweenness is the 1-thread BrandesBetweenness, and the fixed
+  // source shards make every thread count regroup the same way.
   for (const CsrGraph& g :
        {MakeBarbell(8, 2), MakeConnectedCaveman(5, 8), MakeGrid(9, 9)}) {
-    const std::vector<double> sharded = BrandesBetweenness(g);
-    const std::vector<double> sequential = ExactBetweenness(g);
-    ASSERT_EQ(sharded.size(), sequential.size());
-    for (std::size_t v = 0; v < sharded.size(); ++v) {
-      EXPECT_NEAR(sharded[v], sequential[v], 1e-12) << "vertex " << v;
-    }
+    EXPECT_EQ(BrandesBetweenness(g), ExactBetweenness(g));
   }
 }
 
@@ -230,11 +225,11 @@ TEST(ParallelBrandesTest, IntraPassSpdBitIdenticalToSequential) {
   // steps) must reproduce the sequential kernel bit-for-bit.
   const CsrGraph g = MakeBarabasiAlbert(350, 3, 11);
   const std::vector<double> exact_baseline = ExactBetweenness(g);
-  // Note the distinct baselines: BrandesBetweenness regroups the
-  // per-source sum into fixed shards even at 1 thread, so it is compared
-  // against itself, never bitwise against ExactBetweenness.
+  // One baseline: ExactBetweenness is the 1-thread BrandesBetweenness, so
+  // the two agree bit for bit.
   const std::vector<double> sharded_baseline =
       BrandesBetweenness(g, Normalization::kPaper, 1);
+  ASSERT_EQ(exact_baseline, sharded_baseline);
   for (unsigned intra : kThreadCounts) {
     SpdOptions spd;
     spd.num_threads = intra;

@@ -7,9 +7,11 @@
 // %.17g wire round-trip. A reader racing a mutation must therefore see
 // either the old epoch's exact answer or the new one's, never a torn mix.
 
+#include <atomic>
 #include <map>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "centrality/engine.h"
@@ -235,6 +237,80 @@ TEST(ServeConcurrencyTest, WriterDrainsReadersAndReadersNeverSeeTornPool) {
   });
   for (std::thread& thread : threads) thread.join();
   EXPECT_EQ(entry.Stats().epoch, deltas.size());
+}
+
+TEST(ServeConcurrencyTest, StatsPairsEachEpochWithItsEdgeCount) {
+  // One thread polls `stats` while another streams a fixed chain of edit
+  // scripts through `mutate`. Every stats reply must pair its epoch with
+  // the edge count recorded after that epoch's mutation: the counts come
+  // from the catalog's own bookkeeping, never from a session graph a
+  // writer may be editing. Counts, not timings, are checked.
+  auto base = MakeDataset("caveman-36");
+  ASSERT_TRUE(base.ok());
+  constexpr std::size_t kScripts = 8;
+  std::vector<GraphDelta> deltas;
+  std::vector<std::uint64_t> edges_at_epoch;
+  {
+    DynamicGraph dyn(base.value());
+    edges_at_epoch.push_back(dyn.Csr().num_edges());
+    for (std::size_t i = 0; i < kScripts; ++i) {
+      const GraphDelta delta =
+          MakeRandomEditScript(dyn.Csr(), kEditsPerMutation, 0x57a7 + i);
+      ASSERT_TRUE(dyn.Apply(delta).ok());
+      deltas.push_back(delta);
+      edges_at_epoch.push_back(dyn.Csr().num_edges());
+    }
+  }
+  GraphCatalog catalog;
+  ASSERT_TRUE(catalog
+                  .AddGraph("caveman-36", base.value(), EngineOptions(),
+                            /*sessions=*/2)
+                  .ok());
+  Server server(&catalog, ServerOptions());
+
+  std::atomic<bool> mutations_done{false};
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> observed;
+  std::thread poller([&] {
+    do {
+      const std::string line =
+          server.Call(R"({"method": "stats", "graph": "caveman-36"})");
+      auto response = ParseServeResponse(line);
+      ASSERT_TRUE(response.ok()) << line;
+      ASSERT_TRUE(response.value().ok) << line;
+      const JsonValue* graphs =
+          response.value().body.Find("result")->Find("graphs");
+      ASSERT_NE(graphs, nullptr) << line;
+      ASSERT_EQ(graphs->array.size(), 1u) << line;
+      std::uint64_t epoch = 0;
+      std::uint64_t num_edges = 0;
+      ASSERT_TRUE(graphs->array[0].Find("epoch")->AsUint64(&epoch)) << line;
+      ASSERT_TRUE(graphs->array[0].Find("num_edges")->AsUint64(&num_edges))
+          << line;
+      observed.emplace_back(epoch, num_edges);
+    } while (!mutations_done.load());
+  });
+  for (std::size_t i = 0; i < kScripts; ++i) {
+    const std::string line = server.Call(
+        "{\"id\": " + std::to_string(700 + i) +
+        ", \"method\": \"mutate\", \"graph\": \"caveman-36\", "
+        "\"edits\": \"" +
+        DeltaToText(deltas[i]) + "\"}");
+    auto response = ParseServeResponse(line);
+    ASSERT_TRUE(response.ok()) << line;
+    ASSERT_TRUE(response.value().ok) << line;
+    EXPECT_EQ(response.value().epoch, i + 1);
+  }
+  mutations_done.store(true);
+  poller.join();
+
+  ASSERT_FALSE(observed.empty());
+  for (const auto& [epoch, num_edges] : observed) {
+    ASSERT_LE(epoch, kScripts);
+    EXPECT_EQ(num_edges, edges_at_epoch[epoch]) << "epoch " << epoch;
+  }
+  const GraphEntryStats final_stats = catalog.Find("caveman-36")->Stats();
+  EXPECT_EQ(final_stats.epoch, kScripts);
+  EXPECT_EQ(final_stats.num_edges, edges_at_epoch.back());
 }
 
 }  // namespace

@@ -7,29 +7,27 @@
 #include "graph/graph_builder.h"
 #include "sp/bfs_spd.h"
 #include "sp/dependency.h"
+#include "support/apsp_oracle.h"
 
 // Property and determinism tests for the direction-optimizing SPD kernel:
-// the hybrid kernel must be observationally identical to the classic
-// top-down kernel — bit-identical dist/sigma, the same canonical order and
-// level structure, and bit-identical dependency vectors at every α/β
-// setting — on every graph family the generators produce.
+// direction switching must be observationally invisible — bit-identical
+// dist/sigma, the same canonical order, level structure and predecessor
+// lists, and bit-identical dependency vectors at every α/β setting,
+// including alpha = 0 (every level top-down) — on every graph family the
+// generators produce. An independent all-pairs oracle pins dist and sigma.
 
 namespace mhbc {
 namespace {
 
 SpdOptions Hybrid(double alpha = 3.0, double beta = 24.0) {
   SpdOptions options;
-  options.kernel = SpdKernel::kHybrid;
   options.alpha = alpha;
   options.beta = beta;
   return options;
 }
 
-SpdOptions Classic() {
-  SpdOptions options;
-  options.kernel = SpdKernel::kClassic;
-  return options;
-}
+/// alpha = 0 disables bottom-up: every level runs top-down.
+SpdOptions TopDown() { return Hybrid(/*alpha=*/0.0); }
 
 /// The random-generator zoo the property tests sweep; low- and
 /// high-diameter families, hubs, communities, and a disconnected case.
@@ -56,24 +54,36 @@ void ExpectDagsIdentical(const ShortestPathDag& a, const ShortestPathDag& b) {
   EXPECT_EQ(a.level_offsets, b.level_offsets);
 }
 
-TEST(SpdKernelTest, HybridMatchesClassicOnGeneratorZoo) {
+TEST(BfsKernelTest, HybridMatchesTopDownOnGeneratorZoo) {
   for (const CsrGraph& g : PropertyGraphs()) {
-    BfsSpd classic(g, Classic());
+    const ApspOracle oracle(g);
+    BfsSpd top_down(g, TopDown());
     BfsSpd hybrid(g, Hybrid());
     const VertexId step = std::max<VertexId>(1, g.num_vertices() / 7);
     for (VertexId s = 0; s < g.num_vertices(); s += step) {
-      classic.Run(s);
+      top_down.Run(s);
       hybrid.Run(s);
       SCOPED_TRACE("n=" + std::to_string(g.num_vertices()) +
                    " source=" + std::to_string(s));
-      ExpectDagsIdentical(classic.dag(), hybrid.dag());
+      ExpectDagsIdentical(top_down.dag(), hybrid.dag());
+      const ShortestPathDag& dag = hybrid.dag();
+      for (VertexId v = 0; v < g.num_vertices(); ++v) {
+        const double d = oracle.Distance(s, v);
+        if (d < 0.0) {
+          ASSERT_EQ(dag.dist[v], kUnreachedDistance) << "vertex " << v;
+          ASSERT_EQ(dag.sigma[v], 0.0) << "vertex " << v;
+        } else {
+          ASSERT_EQ(static_cast<double>(dag.dist[v]), d) << "vertex " << v;
+          ASSERT_EQ(dag.sigma[v], oracle.PathCount(s, v)) << "vertex " << v;
+        }
+      }
     }
   }
 }
 
-TEST(SpdKernelTest, CanonicalOrderIsAscendingWithinLevels) {
+TEST(BfsKernelTest, CanonicalOrderIsAscendingWithinLevels) {
   const CsrGraph g = MakeBarabasiAlbert(500, 4, 0x51);
-  for (const SpdOptions& options : {Classic(), Hybrid()}) {
+  for (const SpdOptions& options : {TopDown(), Hybrid()}) {
     BfsSpd bfs(g, options);
     bfs.Run(17);
     const ShortestPathDag& dag = bfs.dag();
@@ -91,12 +101,11 @@ TEST(SpdKernelTest, CanonicalOrderIsAscendingWithinLevels) {
   }
 }
 
-TEST(SpdKernelTest, HybridRecordsExactPredecessorLists) {
+TEST(BfsKernelTest, HybridRecordsExactPredecessorLists) {
   for (const CsrGraph& g : PropertyGraphs()) {
     BfsSpd hybrid(g, Hybrid());
     hybrid.Run(0);
     const ShortestPathDag& dag = hybrid.dag();
-    ASSERT_TRUE(dag.has_predecessors);
     for (VertexId v : dag.order) {
       // Recorded parents must equal the dist-derived parent set, in
       // ascending order (the fold order the accumulation contract pins).
@@ -112,18 +121,18 @@ TEST(SpdKernelTest, HybridRecordsExactPredecessorLists) {
   }
 }
 
-TEST(SpdKernelTest, DependencyVectorsBitIdenticalAcrossAlphaBeta) {
+TEST(BfsKernelTest, DependencyVectorsBitIdenticalAcrossAlphaBeta) {
   const CsrGraph g = MakeBarabasiAlbert(600, 3, 0xAB);
-  // Baseline: classic kernel (neighbor-rescan backward sweep).
-  BfsSpd classic(g, Classic());
-  DependencyAccumulator classic_acc(g);
+  // Baseline: every level top-down.
+  BfsSpd top_down(g, TopDown());
+  DependencyAccumulator top_down_acc(g);
   // Sweep aggressive-to-disabled switching; every setting must reproduce
-  // the classic dependency vector bit for bit.
+  // the top-down dependency vector bit for bit.
   const double alphas[] = {0.0, 0.25, 1.0, 1.5, 8.0, 1e9};
   const double betas[] = {0.0, 2.0, 24.0, 1e9};
   for (VertexId s : {VertexId{0}, VertexId{7}, VertexId{599}}) {
-    classic.Run(s);
-    const std::vector<double> baseline = classic_acc.Accumulate(classic);
+    top_down.Run(s);
+    const std::vector<double> baseline = top_down_acc.Accumulate(top_down);
     for (double alpha : alphas) {
       for (double beta : betas) {
         BfsSpd hybrid(g, Hybrid(alpha, beta));
@@ -141,7 +150,7 @@ TEST(SpdKernelTest, DependencyVectorsBitIdenticalAcrossAlphaBeta) {
   }
 }
 
-TEST(SpdKernelTest, ForcedBottomUpIsCorrectOnClosedForms) {
+TEST(BfsKernelTest, ForcedBottomUpIsCorrectOnClosedForms) {
   // alpha=1e9 switches to bottom-up as soon as the frontier has any edges.
   const SpdOptions forced = Hybrid(/*alpha=*/1e9, /*beta=*/0.0);
   {
@@ -171,47 +180,46 @@ TEST(SpdKernelTest, ForcedBottomUpIsCorrectOnClosedForms) {
   }
 }
 
-TEST(SpdKernelTest, ExactScoresIdenticalAcrossKernels) {
+TEST(BfsKernelTest, ExactScoresIdenticalAcrossKernels) {
   const CsrGraph g = MakeWattsStrogatz(200, 6, 0.08, 0x77);
-  const std::vector<double> classic =
-      ExactBetweenness(g, Normalization::kPaper, Classic());
+  const std::vector<double> top_down =
+      ExactBetweenness(g, Normalization::kPaper, TopDown());
   const std::vector<double> hybrid =
       ExactBetweenness(g, Normalization::kPaper, Hybrid());
-  EXPECT_EQ(classic, hybrid);
+  EXPECT_EQ(top_down, hybrid);
   const std::vector<double> parallel_hybrid =
       BrandesBetweenness(g, Normalization::kPaper, 4, Hybrid());
-  const std::vector<double> parallel_classic =
-      BrandesBetweenness(g, Normalization::kPaper, 4, Classic());
-  EXPECT_EQ(parallel_classic, parallel_hybrid);
+  const std::vector<double> parallel_top_down =
+      BrandesBetweenness(g, Normalization::kPaper, 4, TopDown());
+  EXPECT_EQ(parallel_top_down, parallel_hybrid);
 }
 
-TEST(SpdKernelTest, DirectionSwitchesHappenOnLowDiameterGraphs) {
+TEST(BfsKernelTest, DirectionSwitchesHappenOnLowDiameterGraphs) {
   // A BA graph is the paper's low-diameter regime: the default heuristics
-  // must actually take bottom-up levels there (otherwise the hybrid kernel
-  // silently degrades to classic and the perf claim is vacuous).
+  // must actually take bottom-up levels there (otherwise the kernel
+  // silently degrades to top-down only and the perf claim is vacuous).
   const CsrGraph g = MakeBarabasiAlbert(4000, 4, 0x99);
   BfsSpd hybrid(g, Hybrid());
   hybrid.Run(0);
   EXPECT_GT(hybrid.last_stats().bottom_up_levels, 0u);
   EXPECT_GT(hybrid.last_stats().direction_switches, 0u);
-  // And it must examine strictly fewer edges than the classic kernel.
-  BfsSpd classic(g, Classic());
-  classic.Run(0);
+  // And it must examine strictly fewer edges than a top-down-only pass.
+  BfsSpd top_down(g, TopDown());
+  top_down.Run(0);
+  EXPECT_EQ(top_down.last_stats().bottom_up_levels, 0u);
   EXPECT_LT(hybrid.last_stats().edges_examined,
-            classic.last_stats().edges_examined);
+            top_down.last_stats().edges_examined);
 }
 
-// Regression: degenerate graphs (zero edges, single vertex) must take the
-// classic path without ever touching — or allocating — the hybrid bitmap
-// scratch, independent of any graph statistics.
-TEST(SpdKernelTest, DegenerateGraphsSkipHybridScratch) {
+// Regression: degenerate graphs (zero edges, single vertex) run through the
+// direction-optimizing level loop like any other graph and must yield the
+// trivial one-vertex DAG.
+TEST(BfsKernelTest, DegenerateGraphsYieldTrivialDags) {
   {
     GraphBuilder builder(4);  // four isolated vertices, zero edges
     const CsrGraph g = std::move(builder.Build()).value();
     BfsSpd bfs(g, Hybrid());
     bfs.Run(2);
-    EXPECT_FALSE(bfs.hybrid_scratch_allocated());
-    EXPECT_FALSE(bfs.dag().has_predecessors);
     EXPECT_EQ(bfs.dag().num_reached(), 1u);
     EXPECT_EQ(bfs.dag().dist[2], 0u);
     EXPECT_EQ(bfs.dag().sigma[2], 1u);
@@ -226,16 +234,8 @@ TEST(SpdKernelTest, DegenerateGraphsSkipHybridScratch) {
     const CsrGraph g = std::move(builder.Build()).value();
     BfsSpd bfs(g, Hybrid());
     bfs.Run(0);
-    EXPECT_FALSE(bfs.hybrid_scratch_allocated());
     EXPECT_EQ(bfs.dag().num_reached(), 1u);
     EXPECT_EQ(bfs.dag().num_levels(), 1u);
-  }
-  // Contrast: a real graph does allocate the scratch.
-  {
-    const CsrGraph g = MakePath(8);
-    BfsSpd bfs(g, Hybrid());
-    bfs.Run(0);
-    EXPECT_TRUE(bfs.hybrid_scratch_allocated());
   }
 }
 
@@ -250,8 +250,6 @@ SpdOptions WithThreads(SpdOptions options, unsigned threads,
 
 void ExpectPredsIdentical(const ShortestPathDag& a,
                           const ShortestPathDag& b) {
-  ASSERT_EQ(a.has_predecessors, b.has_predecessors);
-  if (!a.has_predecessors) return;
   for (VertexId v : a.order) {
     const auto pa = a.predecessors(v);
     const auto pb = b.predecessors(v);
@@ -261,13 +259,13 @@ void ExpectPredsIdentical(const ShortestPathDag& a,
   }
 }
 
-TEST(SpdKernelTest, IntraPassParallelMatchesSequentialOnGeneratorZoo) {
-  // The tentpole determinism sweep: both kernels, 2 and 4 intra-pass
+TEST(BfsKernelTest, IntraPassParallelMatchesSequentialOnGeneratorZoo) {
+  // The determinism sweep: top-down-only and hybrid, 2 and 4 intra-pass
   // threads, grain 0 (every level fans out) — dist/sigma/order/levels,
   // predecessor lists, and dependency vectors must be bit-identical to
-  // the sequential kernel on every graph family.
+  // the sequential pass on every graph family.
   for (const CsrGraph& g : PropertyGraphs()) {
-    for (const SpdOptions& base : {Classic(), Hybrid()}) {
+    for (const SpdOptions& base : {TopDown(), Hybrid()}) {
       BfsSpd sequential(g, base);
       DependencyAccumulator sequential_acc(g);
       for (unsigned threads : {2u, 4u}) {
@@ -294,7 +292,7 @@ TEST(SpdKernelTest, IntraPassParallelMatchesSequentialOnGeneratorZoo) {
   }
 }
 
-TEST(SpdKernelTest, IntraPassParallelShardMergeEdgeCases) {
+TEST(BfsKernelTest, IntraPassParallelShardMergeEdgeCases) {
   // Frontier shapes that stress the shard merge: single-vertex levels
   // (path), one giant level behind a hub (star), wide diagonal frontiers
   // (grid), and a tiny graph where most shards and ranges are empty.
@@ -304,7 +302,7 @@ TEST(SpdKernelTest, IntraPassParallelShardMergeEdgeCases) {
   graphs.push_back(MakeGrid(11, 17));
   graphs.push_back(MakeCycle(3));
   for (const CsrGraph& g : graphs) {
-    for (const SpdOptions& base : {Classic(), Hybrid(),
+    for (const SpdOptions& base : {TopDown(), Hybrid(),
                                    Hybrid(/*alpha=*/1e9, /*beta=*/0.0)}) {
       BfsSpd sequential(g, base);
       for (unsigned threads : {1u, 2u, 4u}) {
@@ -325,7 +323,7 @@ TEST(SpdKernelTest, IntraPassParallelShardMergeEdgeCases) {
   }
 }
 
-TEST(SpdKernelTest, ParallelGrainOnlyChangesWorkNeverResults) {
+TEST(BfsKernelTest, ParallelGrainOnlyChangesWorkNeverResults) {
   // Sweeping the grain moves levels between the sequential and parallel
   // steps; every setting must agree bit-for-bit (including stats, which
   // count examined edges identically on both paths).
@@ -348,7 +346,7 @@ TEST(SpdKernelTest, ParallelGrainOnlyChangesWorkNeverResults) {
   }
 }
 
-TEST(SpdKernelTest, IntraPassReuseAcrossSourcesResetsState) {
+TEST(BfsKernelTest, IntraPassReuseAcrossSourcesResetsState) {
   // Engine reuse with the parallel scratch in play: alternating sources
   // must reproduce fresh-engine passes exactly.
   const CsrGraph g = MakeErdosRenyiGnm(220, 700, 0x43);
@@ -362,7 +360,7 @@ TEST(SpdKernelTest, IntraPassReuseAcrossSourcesResetsState) {
   }
 }
 
-TEST(SpdKernelTest, IntraPassZeroThreadsStandaloneIsSequential) {
+TEST(BfsKernelTest, IntraPassZeroThreadsStandaloneIsSequential) {
   // num_threads == 0 means "inherit"; standalone engines have nothing to
   // inherit from and must stay sequential (no pool).
   const CsrGraph g = MakePath(10);
@@ -374,7 +372,7 @@ TEST(SpdKernelTest, IntraPassZeroThreadsStandaloneIsSequential) {
   EXPECT_NE(two.intra_pool(), nullptr);
 }
 
-TEST(SpdKernelTest, StatsAccumulateAcrossRuns) {
+TEST(BfsKernelTest, StatsAccumulateAcrossRuns) {
   const CsrGraph g = MakeBarabasiAlbert(300, 3, 0x31);
   BfsSpd bfs(g, Hybrid());
   bfs.Run(0);
@@ -386,7 +384,7 @@ TEST(SpdKernelTest, StatsAccumulateAcrossRuns) {
             first + bfs.last_stats().edges_examined);
 }
 
-TEST(SpdKernelTest, ReuseAcrossSourcesResetsHybridState) {
+TEST(BfsKernelTest, ReuseAcrossSourcesResetsHybridState) {
   // Alternating sources on one engine: every pass must be identical to a
   // fresh engine's pass (the lazy reset covers dist/sigma/bitmap/preds).
   const CsrGraph g = MakeErdosRenyiGnm(200, 600, 0x42);

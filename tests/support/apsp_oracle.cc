@@ -1,4 +1,4 @@
-#include "sp/apsp_oracle.h"
+#include "support/apsp_oracle.h"
 
 #include <algorithm>
 #include <cmath>

@@ -1,4 +1,4 @@
-#include "sp/dijkstra_spd.h"
+#include "support/dijkstra_spd.h"
 
 #include <cmath>
 #include <queue>
@@ -21,7 +21,6 @@ DijkstraSpd::DijkstraSpd(const CsrGraph& graph, double tie_epsilon)
   dag_.pred_begin = graph.raw_in_offsets().data();
   dag_.pred_count.assign(n, 0);
   dag_.pred_storage.assign(graph.raw_in_adjacency().size(), kInvalidVertex);
-  dag_.has_predecessors = true;
   settled_.assign(n, 0);
 }
 

@@ -6,11 +6,10 @@
 #include "sp/spd.h"
 
 /// \file
-/// Weighted shortest-path-DAG construction by Dijkstra's algorithm.
-///
-/// Used for the paper's weighted-graph cost claims: one pass is
-/// O(|E| + |V| log |V|)-ish (binary heap with lazy deletion, so
-/// O(|E| log |V|) worst case — equivalent for the sparse networks here).
+/// Weighted shortest-path-DAG construction by Dijkstra's algorithm — the
+/// heap-order reference the tests check the library's weighted engine
+/// (DeltaSpd) against. One pass is O(|E| log |V|) (binary heap with lazy
+/// deletion).
 
 namespace mhbc {
 
