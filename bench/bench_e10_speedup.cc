@@ -20,7 +20,7 @@
 int main() {
   using namespace mhbc;
   bench::Banner("E10", "speedup vs exact Brandes at the Eq. 14 budget");
-  bench::JsonReport json("e10_speedup");
+  bench::JsonReport json("e10");
   const double kEps = 0.1, kDelta = 0.1;
   constexpr std::uint64_t kRunCap = 20'000;
 

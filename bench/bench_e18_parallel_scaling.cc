@@ -70,7 +70,7 @@ int main(int argc, char** argv) {
   const CsrGraph graph = MakeBarabasiAlbert(n, 4, /*seed=*/0xE18);
   const bench::TargetSet targets = bench::PickTargets(graph);
 
-  bench::JsonReport json("e18_parallel_scaling");
+  bench::JsonReport json("e18");
   json.AddMeta("n", FormatCount(graph.num_vertices()));
   json.AddMeta("m", FormatCount(graph.num_edges()));
   json.AddMeta("hardware_threads",

@@ -6,7 +6,7 @@
 // For each (graph, kernel setting, threads) row the harness reports
 //
 //   * passes/sec          — forward SPD passes only,
-//   * fused passes/sec    — pass + level-parallel dependency accumulation
+//   * fused passes/sec    — pass + sequential dependency accumulation
 //                           (the true per-sample unit every estimator
 //                           pays),
 //   * speedup / fused x   — against the 1-thread row of the same kernel,
@@ -64,10 +64,7 @@ ThreadRun TimeAtThreads(const CsrGraph& graph, const SpdOptions& options,
                         const std::vector<VertexId>& sources) {
   ThreadRun run;
   BfsSpd bfs(graph, options);
-  // The accumulator borrows the pass engine's pool, exactly as the
-  // oracle/Brandes wiring does, so "fused" times the shipped composition.
-  DependencyAccumulator accumulator(graph, bfs.intra_pool(),
-                                    options.parallel_grain);
+  DependencyAccumulator accumulator(graph);
   constexpr int kRepeats = 3;
   double best_pass = -1.0;
   double best_fused = -1.0;
@@ -103,8 +100,7 @@ bool MatchesSequential(const CsrGraph& graph, const SpdOptions& options,
   BfsSpd sequential(graph, sequential_options);
   BfsSpd parallel(graph, options);
   DependencyAccumulator sequential_acc(graph);
-  DependencyAccumulator parallel_acc(graph, parallel.intra_pool(),
-                                     options.parallel_grain);
+  DependencyAccumulator parallel_acc(graph);
   for (VertexId s : sources) {
     sequential.Run(s);
     parallel.Run(s);

@@ -7,7 +7,7 @@
 // Section A — per-(graph, threads) row:
 //
 //   * passes/sec          — forward weighted SPD passes only,
-//   * fused passes/sec    — pass + level-parallel dependency accumulation
+//   * fused passes/sec    — pass + sequential dependency accumulation
 //                           over the recorded settle waves (the fused
 //                           weighted sweep every estimator pays),
 //   * speedup / fused x   — against the 1-thread row,
@@ -78,10 +78,7 @@ ThreadRun TimeAtThreads(const CsrGraph& graph, const SpdOptions& options,
                         const std::vector<VertexId>& sources) {
   ThreadRun run;
   DeltaSpd spd(graph, options);
-  // The accumulator borrows the pass engine's pool, exactly as the
-  // oracle/Brandes wiring does, so "fused" times the shipped composition.
-  DependencyAccumulator accumulator(graph, spd.intra_pool(),
-                                    options.parallel_grain);
+  DependencyAccumulator accumulator(graph);
   constexpr int kRepeats = 3;
   double best_pass = -1.0;
   double best_fused = -1.0;
@@ -117,8 +114,7 @@ bool MatchesSequential(const CsrGraph& graph, const SpdOptions& options,
   DeltaSpd sequential(graph, sequential_options);
   DeltaSpd parallel(graph, options);
   DependencyAccumulator sequential_acc(graph);
-  DependencyAccumulator parallel_acc(graph, parallel.intra_pool(),
-                                     options.parallel_grain);
+  DependencyAccumulator parallel_acc(graph);
   for (VertexId s : sources) {
     sequential.Run(s);
     parallel.Run(s);

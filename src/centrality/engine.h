@@ -73,8 +73,9 @@
 /// splitting it would change the estimator — but their *passes* do
 /// parallelize: with EngineOptions::spd.num_threads inherited (0), the
 /// engine's own pass engines run frontier-parallel level steps inside each
-/// BFS + dependency sweep (sp/bfs_spd.h), which is what makes single-query
-/// Estimate / EstimateRelative latency scale with cores.
+/// BFS pass (sp/bfs_spd.h); the dependency sweep after it is sequential.
+/// That is what lets single-query Estimate / EstimateRelative latency
+/// scale with cores.
 ///
 /// Pool-splitting policy. Query-level sharding and intra-pass parallelism
 /// split one thread budget instead of multiplying: EstimateMany /

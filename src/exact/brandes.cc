@@ -38,21 +38,15 @@ template <typename PerSource>
 void ForEachSourceDependenciesInRange(const CsrGraph& graph, VertexId begin,
                                       VertexId end, SpdOptions spd,
                                       PerSource&& per_source) {
-  // Either way the sweep borrows the pass engine's intra-pass pool (null
-  // when the pass is sequential), so pass + accumulate share one set of
-  // threads.
+  DependencyAccumulator accumulator(graph);
   if (graph.weighted()) {
     DeltaSpd engine(graph, spd);
-    DependencyAccumulator accumulator(graph, engine.intra_pool(),
-                                      spd.parallel_grain);
     for (VertexId s = begin; s < end; ++s) {
       engine.Run(s);
       per_source(accumulator.Accumulate(engine));
     }
   } else {
     BfsSpd engine(graph, spd);
-    DependencyAccumulator accumulator(graph, engine.intra_pool(),
-                                      spd.parallel_grain);
     for (VertexId s = begin; s < end; ++s) {
       engine.Run(s);
       per_source(accumulator.Accumulate(engine));

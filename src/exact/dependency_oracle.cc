@@ -131,17 +131,10 @@ bool WeightedPassSurvivesEdits(const std::vector<double>& wdists,
 
 DependencyOracle::DependencyOracle(const CsrGraph& graph, SpdOptions spd)
     : graph_(&graph), spd_(spd), accumulator_(graph) {
-  // The backward sweep borrows the pass engine's intra-pass pool (null
-  // when spd.num_threads resolves to sequential), so one pass + accumulate
-  // runs on one set of threads.
   if (graph.weighted()) {
     delta_ = std::make_unique<DeltaSpd>(graph, spd);
-    accumulator_ =
-        DependencyAccumulator(graph, delta_->intra_pool(), spd.parallel_grain);
   } else {
     bfs_ = std::make_unique<BfsSpd>(graph, spd);
-    accumulator_ =
-        DependencyAccumulator(graph, bfs_->intra_pool(), spd.parallel_grain);
   }
 }
 
@@ -198,18 +191,13 @@ void DependencyOracle::ApplyGraphDelta(const CsrGraph& new_graph,
     }
   }
   graph_ = &new_graph;
-  // Rebuild the pass engine first: the new accumulator borrows its
-  // intra-pass pool, so the pool must already belong to the new engine.
+  accumulator_ = DependencyAccumulator(new_graph);
   if (new_graph.weighted()) {
     delta_ = std::make_unique<DeltaSpd>(new_graph, spd_);
     bfs_.reset();
-    accumulator_ = DependencyAccumulator(new_graph, delta_->intra_pool(),
-                                         spd_.parallel_grain);
   } else {
     bfs_ = std::make_unique<BfsSpd>(new_graph, spd_);
     delta_.reset();
-    accumulator_ = DependencyAccumulator(new_graph, bfs_->intra_pool(),
-                                         spd_.parallel_grain);
   }
 }
 

@@ -34,6 +34,7 @@ void BfsSpd::Run(VertexId source) {
     // Parents reach a vertex over its in-edges, so predecessor capacity is
     // the in-CSR layout (aliases the out-CSR when undirected).
     visited_.assign((static_cast<std::size_t>(n) + 63) / 64, 0);
+    frontier_bits_.assign(visited_.size(), 0);
     dag_.pred_begin = graph_->raw_in_offsets().data();
     dag_.pred_count.assign(n, 0);
     dag_.pred_storage.assign(graph_->raw_in_adjacency().size(),
@@ -81,11 +82,12 @@ void BfsSpd::Run(VertexId source) {
     // this frontier top-down examines m_f edges (the frontier's degree
     // sum); bottom-up examines m_u (the unvisited vertices' degree sum)
     // but at a per-edge cost alpha times cheaper — the bottom-up loop is a
-    // sequential ascending scan with no discovery bookkeeping and no
-    // frontier sort. So bottom-up is the profitable direction for a level
-    // exactly when m_f * alpha > m_u; the exit test is the negation, and
-    // entry is additionally gated on a growing frontier (a shrinking one
-    // is draining a tail top-down handles better — without this gate,
+    // sequential ascending scan with no discovery bookkeeping, and it
+    // finds its level already in order (no level bitmap to mark and scan).
+    // So bottom-up is the profitable direction for a level exactly when
+    // m_f * alpha > m_u; the exit test is the negation, and entry is
+    // additionally gated on a growing frontier (a shrinking one is
+    // draining a tail top-down handles better — without this gate,
     // plateaued frontiers on high-diameter graphs flap directions for zero
     // savings). Beamer's n/beta tail rule is kept as a secondary exit.
     const bool growing = frontier_.size() >= prev_frontier_size;
@@ -151,12 +153,17 @@ void BfsSpd::Run(VertexId source) {
       if (UseParallel(frontier_edges)) {
         next_edges = TopDownLevelParallel(depth, &next_in_edges);
       } else {
+        std::size_t lo_word = frontier_bits_.size();
+        std::size_t hi_word = 0;
         for (VertexId u : frontier_) {
           const SigmaCount su = dag_.sigma[u];
           for (VertexId v : graph_->neighbors(u)) {
             if (dag_.dist[v] == kUnreachedDistance) {
               dag_.dist[v] = depth + 1;
               SetVisited(v);
+              MarkLevel(v);
+              lo_word = std::min<std::size_t>(lo_word, v >> 6);
+              hi_word = std::max<std::size_t>(hi_word, v >> 6);
               next_.push_back(v);
               next_edges += graph_->degree(v);
               next_in_edges += graph_->in_degree(v);
@@ -171,7 +178,7 @@ void BfsSpd::Run(VertexId source) {
             }
           }
         }
-        std::sort(next_.begin(), next_.end());
+        EmitAscending(&next_, lo_word, hi_word);
       }
     }
     unexplored_edges -= next_in_edges;
@@ -205,7 +212,28 @@ void BfsSpd::EnsureParallelScratch() {
   range_next_.resize(num_ranges_);
   range_edges_.assign(num_ranges_, 0);
   range_in_edges_.assign(num_ranges_, 0);
-  frontier_bits_.assign(n_words, 0);
+}
+
+void BfsSpd::EmitAscending(std::vector<VertexId>* level, std::size_t lo_word,
+                           std::size_t hi_word) {
+  if (level->empty()) return;
+  // Both branches emit the same ascending vector and leave the marked
+  // words zero; the choice depends on the level alone.
+  if (SortsLevel(level->size(), hi_word - lo_word)) {
+    std::sort(level->begin(), level->end());
+    for (VertexId v : *level) frontier_bits_[v >> 6] = 0;
+    return;
+  }
+  level->clear();
+  for (std::size_t word = lo_word; word <= hi_word; ++word) {
+    std::uint64_t bits = frontier_bits_[word];
+    frontier_bits_[word] = 0;
+    while (bits != 0) {
+      level->push_back(
+          static_cast<VertexId>((word << 6) + std::countr_zero(bits)));
+      bits &= bits - 1;
+    }
+  }
 }
 
 std::uint64_t BfsSpd::TopDownLevelParallel(std::uint32_t depth,
@@ -251,6 +279,8 @@ std::uint64_t BfsSpd::TopDownLevelParallel(std::uint32_t depth,
         seg.clear();
         std::uint64_t seg_edges = 0;
         std::uint64_t seg_in_edges = 0;
+        std::size_t lo_word = frontier_bits_.size();
+        std::size_t hi_word = 0;
         for (std::size_t shard = 0; shard < kFrontierShards; ++shard) {
           std::vector<TdCandidate>& bucket =
               buckets_[shard * num_ranges_ + range];
@@ -258,6 +288,9 @@ std::uint64_t BfsSpd::TopDownLevelParallel(std::uint32_t depth,
             if (dag_.dist[c.v] == kUnreachedDistance) {
               dag_.dist[c.v] = depth + 1;
               SetVisited(c.v);
+              MarkLevel(c.v);
+              lo_word = std::min<std::size_t>(lo_word, c.v >> 6);
+              hi_word = std::max<std::size_t>(hi_word, c.v >> 6);
               seg.push_back(c.v);
               seg_edges += graph_->degree(c.v);
               seg_in_edges += graph_->in_degree(c.v);
@@ -268,9 +301,10 @@ std::uint64_t BfsSpd::TopDownLevelParallel(std::uint32_t depth,
           }
           bucket.clear();
         }
-        // Ranges partition the id space in order, so locally sorted
-        // segments concatenate into the globally sorted next frontier.
-        std::sort(seg.begin(), seg.end());
+        // Ranges partition the id space in 64-aligned order, so each owner
+        // emits from its own level-bitmap words and the ascending segments
+        // concatenate into the globally sorted next frontier.
+        EmitAscending(&seg, lo_word, hi_word);
         range_edges_[range] = seg_edges;
         range_in_edges_[range] = seg_in_edges;
       },
@@ -292,9 +326,7 @@ std::uint64_t BfsSpd::BottomUpLevelParallel(std::uint32_t depth,
   // whose dist another range owner is writing concurrently. Frontier bits
   // are written before the fan-out, read-only during it, and cleared
   // after, so the bitmap is all-zero between steps.
-  for (VertexId u : frontier_) {
-    frontier_bits_[u >> 6] |= std::uint64_t{1} << (u & 63);
-  }
+  for (VertexId u : frontier_) MarkLevel(u);
   const std::uint32_t word_shift = range_shift_ - 6;
   std::uint64_t next_edges = 0;
   // One fan-out over word ranges: each owner runs the sequential scan body

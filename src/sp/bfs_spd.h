@@ -1,5 +1,6 @@
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -25,7 +26,12 @@
 /// each level, level slices recorded in ShortestPathDag::level_offsets)
 /// and records explicit predecessor lists while it traverses — it
 /// inspects every parent edge anyway — so the backward sweep
-/// (sp/dependency.h) walks SPD edges only.
+/// (sp/dependency.h) walks SPD edges only. A bottom-up step discovers its
+/// level in ascending id. A top-down step marks each discovery in a level
+/// bitmap and emits the level by an ascending scan of the marked word
+/// span; only a level scattered thinly over the id space (SortsLevel) is
+/// sorted instead. Both branches yield the same vector, and the choice
+/// depends on the level alone.
 ///
 /// Intra-pass parallelism (SpdOptions::num_threads > 1) runs the level
 /// steps frontier-parallel while keeping every output bit-identical to
@@ -46,9 +52,9 @@
 ///     each owner runs the sequential scan body on its words (every write
 ///     — dist/sigma/preds/bitmap — lands in the owned range) and tests
 ///     parents against a read-only frontier bitmap.
-///   * Per-range next-frontier segments are sorted locally and
-///     concatenated in range order, reproducing the globally sorted
-///     frontier the sequential steps build.
+///   * Per-range next-frontier segments are emitted in ascending id from
+///     the range's own level-bitmap words and concatenated in range order,
+///     reproducing the globally sorted frontier the sequential steps build.
 ///
 /// Levels below SpdOptions::parallel_grain examined edges run the
 /// (identical-output) sequential step, so tiny levels pay no fan-out cost.
@@ -73,8 +79,7 @@ class ThreadPool;
 /// is reset lazily via the previous pass' order. The engine is not
 /// reentrant — one Run at a time; with SpdOptions::num_threads > 1 a Run
 /// internally fans level steps out over an owned worker pool (see the
-/// intra-pass notes above), which callers can share for the fused
-/// dependency sweep via intra_pool(). Samplers own one instance each.
+/// intra-pass notes above). Samplers own one instance each.
 class BfsSpd {
  public:
   /// Work counters of one pass (and totals across passes). "Edges
@@ -93,6 +98,18 @@ class BfsSpd {
   /// thread count — which is what makes the shard-merge order, and with it
   /// every sigma/delta regrouping, identical at any parallelism level.
   static constexpr std::size_t kFrontierShards = 32;
+
+  /// True when a top-down level (or range segment) of `size` vertices
+  /// whose marked bitmap words span `span_words` (highest minus lowest)
+  /// is sorted rather than word-scanned (see EmitAscending). The scan
+  /// visits every word of the span, the sort makes about size * log2(size)
+  /// comparisons; timed per level on grids and paths with shuffled ids,
+  /// the two break even near span_words = size * bit_width(size) for
+  /// levels of up to ~1k vertices (larger levels favor the scan further).
+  /// Output-neutral: both branches emit the same vector.
+  static constexpr bool SortsLevel(std::size_t size, std::size_t span_words) {
+    return span_words >= size * std::bit_width(size);
+  }
 
   /// The graph must outlive the engine.
   explicit BfsSpd(const CsrGraph& graph, SpdOptions options = SpdOptions());
@@ -113,8 +130,8 @@ class BfsSpd {
   const Stats& total_stats() const { return total_stats_; }
 
   /// The engine's intra-pass worker pool; null when the pass is sequential
-  /// (SpdOptions::num_threads resolved to 1). The fused dependency sweep
-  /// borrows this pool so one pass + accumulate uses one set of threads.
+  /// (SpdOptions::num_threads resolved to 1). Tests and probes use it to
+  /// tell a sequential engine from a parallel one.
   ThreadPool* intra_pool() const { return pool_.get(); }
 
  private:
@@ -136,6 +153,16 @@ class BfsSpd {
   std::uint64_t BottomUpLevelParallel(std::uint32_t depth,
                                       std::uint64_t tail_mask,
                                       std::uint64_t* next_in_edges);
+
+  /// Sets v's bit in frontier_bits_.
+  void MarkLevel(VertexId v) {
+    frontier_bits_[v >> 6] |= std::uint64_t{1} << (v & 63);
+  }
+  /// Replaces `level` (discoveries in any order, each marked in
+  /// frontier_bits_ words [lo_word, hi_word]) with the same vertices in
+  /// ascending id and zeroes those words.
+  void EmitAscending(std::vector<VertexId>* level, std::size_t lo_word,
+                     std::size_t hi_word);
 
   void SetVisited(VertexId v) {
     visited_[v >> 6] |= std::uint64_t{1} << (v & 63);
@@ -177,9 +204,10 @@ class BfsSpd {
   std::vector<std::vector<VertexId>> range_next_;
   std::vector<std::uint64_t> range_edges_;
   std::vector<std::uint64_t> range_in_edges_;
-  /// Bit-per-vertex image of the current frontier, published before a
-  /// parallel bottom-up step so the parent test never reads a dist entry
-  /// another range owner may be writing. All-zero outside a step.
+  /// Level bitmap, one bit per vertex, all-zero outside a step. A top-down
+  /// step marks the next level in it to emit that level sorted; a parallel
+  /// bottom-up step publishes the current frontier in it so the parent
+  /// test never reads a dist entry another range owner may be writing.
   std::vector<std::uint64_t> frontier_bits_;
 };
 

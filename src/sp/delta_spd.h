@@ -39,8 +39,8 @@
 /// every parent settles in an earlier wave — the settle order is
 /// topological, exactly what the backward dependency sweep needs. Waves
 /// are recorded as ShortestPathDag::level_offsets with members in
-/// ascending (wdist, id) order, so weighted passes reuse the *same* fused
-/// level-parallel sweep (sp/dependency.h) as BFS. Note the order is
+/// ascending (wdist, id) order, so weighted passes reuse the *same*
+/// deepest-first backward sweep (sp/dependency.h) as BFS. Note the order is
 /// NOT globally distance-sorted (a heap engine's order is): a vertex with
 /// a large minw may settle before a nearer vertex with a small minw.
 ///
@@ -77,11 +77,10 @@ class ThreadPool;
 /// Like DijkstraSpd it always records explicit predecessor lists (weighted
 /// ties cannot be re-derived from distances) into the shared CSR-capacity
 /// pred_* storage; unlike DijkstraSpd it also records the wave structure
-/// in level_offsets, which is what unlocks the fused level-parallel
-/// backward sweep. Run(source) allocates nothing after the first call. The
-/// engine is not reentrant — one Run at a time; with num_threads > 1 a Run
-/// fans wave relaxations out over an owned worker pool, which callers
-/// share for the fused sweep via intra_pool().
+/// in level_offsets, so the backward sweep walks waves deepest-first.
+/// Run(source) allocates nothing after the first call. The engine is not
+/// reentrant — one Run at a time; with num_threads > 1 a Run fans wave
+/// relaxations out over an owned worker pool (exposed by intra_pool()).
 class DeltaSpd {
  public:
   /// Work counters of one pass (and totals across passes). "Edges
@@ -142,8 +141,8 @@ class DeltaSpd {
   const Stats& total_stats() const { return total_stats_; }
 
   /// The engine's intra-pass worker pool; null when the pass is sequential
-  /// (SpdOptions::num_threads resolved to 1). The fused dependency sweep
-  /// borrows this pool so one pass + accumulate uses one set of threads.
+  /// (SpdOptions::num_threads resolved to 1). Tests and probes use it to
+  /// tell a sequential engine from a parallel one.
   ThreadPool* intra_pool() const { return pool_.get(); }
 
  private:

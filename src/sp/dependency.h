@@ -23,16 +23,11 @@
 /// built it — which is what makes dependency vectors bit-identical across
 /// α/β settings.
 ///
-/// With a borrowed worker pool the sweep runs level-parallel under the
-/// same fixed-shard discipline as BfsSpd for every DAG that
-/// carries level offsets — BFS levels and DeltaSpd settle waves alike: per
-/// level, fixed shards of the level slice bucket per-parent contributions
-/// sigma_v * coeff_w by destination range, then each range owner folds its
-/// deltas walking the buckets in shard order. For any fixed parent the
-/// contributions fold in level-slice order — exactly the sequential
-/// sweep's regrouping — so delta vectors stay bit-identical at every
-/// thread count. Heap-order (Dijkstra) DAGs carry no level structure and
-/// keep the sequential reverse-settle sweep.
+/// The sweep is sequential. A level-parallel variant (fixed shards
+/// bucketing contributions by destination range) was retired: on
+/// MakeBarabasiAlbert(250000, 4, 1) at 4 threads on a 4-vCPU VM it ran
+/// about 1.5x faster than this loop for about 1.9x its CPU. Intra-pass
+/// threads parallelize the pass itself only.
 
 namespace mhbc {
 
@@ -41,28 +36,25 @@ class ThreadPool;
 /// Reusable accumulator bound to one graph.
 class DependencyAccumulator {
  public:
-  /// `pool` (optional, non-owning, may be null) enables the level-parallel
-  /// sweep for DAGs that carry level offsets; callers share the SPD
-  /// engine's pool (BfsSpd::intra_pool) so one pass + accumulate uses one
-  /// set of threads. Levels whose degree sum is below `parallel_grain` run
-  /// the (bit-identical) sequential body; the default matches
-  /// SpdOptions::parallel_grain.
+  /// The ThreadPool* parameter is ignored; it stays so that callers that
+  /// pass an SPD engine's intra_pool() keep compiling.
   explicit DependencyAccumulator(const CsrGraph& graph,
-                                 ThreadPool* pool = nullptr,
-                                 std::uint64_t parallel_grain =
-                                     SpdOptions{}.parallel_grain);
+                                 ThreadPool* /*ignored*/ = nullptr);
 
   /// Accumulates dependencies of `dag.source` on all vertices — the single
   /// backward-sweep implementation every pass flavor (BFS, delta-stepping,
-  /// Dijkstra) funnels through. `graph` must be the graph the pass ran on;
-  /// the level-parallel sweep sizes its per-level work from it. Result
-  /// valid until the next Accumulate call.
-  const std::vector<double>& Accumulate(const ShortestPathDag& dag,
-                                        const CsrGraph& graph);
+  /// Dijkstra) funnels through. The DAG must come from a pass on the graph
+  /// this accumulator is bound to. Result valid until the next Accumulate
+  /// call.
+  const std::vector<double>& Accumulate(const ShortestPathDag& dag);
 
   /// Convenience overloads for the engines.
-  const std::vector<double>& Accumulate(const BfsSpd& bfs);
-  const std::vector<double>& Accumulate(const DeltaSpd& delta);
+  const std::vector<double>& Accumulate(const BfsSpd& bfs) {
+    return Accumulate(bfs.dag());
+  }
+  const std::vector<double>& Accumulate(const DeltaSpd& delta) {
+    return Accumulate(delta.dag());
+  }
 
   /// Dependency of the last pass' source on v (0 for unreached vertices and
   /// for the source itself).
@@ -74,29 +66,8 @@ class DependencyAccumulator {
   const std::vector<double>& deltas() const { return delta_; }
 
  private:
-  /// One bucketed backward-sweep contribution: delta_[v] += c.
-  struct Contribution {
-    VertexId v;
-    double c;
-  };
-
-  /// Level-parallel sweep over the recorded level structure (BFS DAGs).
-  void AccumulateLevels(const ShortestPathDag& dag, const CsrGraph& graph);
-  /// Lazily sizes destination ranges + buckets (same geometry rules as
-  /// BfsSpd::EnsureParallelScratch — a pure function of |V|).
-  void EnsureParallelScratch();
-
   std::vector<double> delta_;
   std::vector<VertexId> touched_;
-
-  /// Intra-pass parallel state; pool_ null = always-sequential sweep.
-  ThreadPool* pool_ = nullptr;
-  std::uint64_t parallel_grain_ = 0;
-  std::size_t num_vertices_ = 0;
-  std::size_t num_ranges_ = 0;
-  std::uint32_t range_shift_ = 0;
-  /// Contribution buckets, indexed [shard * num_ranges_ + range].
-  std::vector<std::vector<Contribution>> buckets_;
 };
 
 }  // namespace mhbc

@@ -30,17 +30,17 @@ inline constexpr double kDefaultTieEpsilon = 1e-12;
 /// tie_epsilon is an *accuracy* knob (it defines which weighted paths
 /// count as shortest) and therefore part of the determinism key.
 struct SpdOptions {
-  /// Intra-pass parallelism: number of threads one SPD pass (and its fused
-  /// dependency accumulation) may use for frontier-parallel level steps.
+  /// Intra-pass parallelism: number of threads one SPD pass may use for
+  /// frontier-parallel level steps (the dependency sweep is sequential).
   /// 0 means "inherit": an owning BetweennessEngine substitutes its own
   /// resolved thread count where intra-pass parallelism should win (serial
   /// single-query paths), while standalone construction of BfsSpd /
   /// ExactBetweenness treats 0 as 1 (fully sequential — the historical
   /// behavior). Results are bit-identical at every value.
   unsigned num_threads = 0;
-  /// Minimum per-level work (in examined edges, or edge-weighted vertices
-  /// for the backward sweep) before a level fans out across threads;
-  /// smaller levels run the sequential step, whose output is identical.
+  /// Minimum per-level work of a pass (examined edges of a BFS level or a
+  /// DeltaSpd wave) before the level fans out across threads; smaller
+  /// levels run the sequential step, whose output is identical.
   /// The threshold is a function of the level only — never of the thread
   /// count — so the parallel/sequential choice cannot break determinism.
   /// 0 forces every level through the parallel path (used by tests).
@@ -50,13 +50,14 @@ struct SpdOptions {
   /// current frontier (edges a top-down step examines) and m_u the degree
   /// sum of still-unvisited vertices (edges a bottom-up step examines).
   /// alpha is the measured per-edge discount of the bottom-up loop — a
-  /// sequential ascending scan with no discovery bookkeeping and no
-  /// frontier sort — so the test reads "bottom-up is the cheaper way to
-  /// build this level". Exact sigma counting cannot early-exit the parent
-  /// scan (Beamer's reachability-only BFS can, hence his much larger
-  /// alpha = 14); the default here is the bench_e20 sweep optimum across
-  /// the registry graphs. alpha <= 0 disables bottom-up entirely: every
-  /// level then runs top-down.
+  /// sequential ascending scan with no discovery bookkeeping, which finds
+  /// its level already in order — so the test reads "bottom-up is the
+  /// cheaper way to build this level". Exact sigma counting cannot
+  /// early-exit the parent scan (Beamer's reachability-only BFS can, hence
+  /// his much larger alpha = 14); the default here is the bench_e20 sweep
+  /// optimum across the registry graphs, measured while top-down steps
+  /// still sorted every level. alpha <= 0 disables bottom-up entirely:
+  /// every level then runs top-down.
   double alpha = 3.0;
   /// Secondary bottom-up exit (Beamer's CBT): also return to top-down once
   /// the frontier is shrinking and has fewer than n / beta vertices.
@@ -106,9 +107,9 @@ struct ShortestPathDag {
   /// level l — the BFS frontier at hop distance l for unweighted passes,
   /// the l-th settle wave for DeltaSpd weighted passes. Either way no SPD
   /// edge connects two vertices of the same level, so the backward sweep
-  /// walks levels deepest-first (and level-parallel) without re-deriving
-  /// the structure. Empty for heap-order (Dijkstra) passes, which fall
-  /// back to reverse settle order.
+  /// walks levels deepest-first without re-deriving the structure. Empty
+  /// for heap-order (Dijkstra) passes, which fall back to reverse settle
+  /// order.
   std::vector<std::size_t> level_offsets;
   /// Explicit SPD predecessor (parent) lists in CSR-capacity layout:
   /// vertex v's parents occupy

@@ -117,8 +117,7 @@ std::pair<std::size_t, std::size_t> ShardBounds(std::size_t count,
                                                 std::size_t num_shards);
 
 /// One deterministic level-synchronous step — the building block of the
-/// frontier-parallel SPD kernels (sp/bfs_spd.cc) and the parallel backward
-/// dependency sweep (sp/dependency.cc):
+/// frontier-parallel SPD kernels (sp/bfs_spd.cc, sp/delta_spd.cc):
 ///
 ///   1. expand(worker, shard) runs for every shard in [0, num_shards) in
 ///      parallel (dynamically claimed, like ParallelFor). Each shard must

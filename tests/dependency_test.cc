@@ -88,7 +88,7 @@ TEST(DependencyTest, WeightedMatchesUnweightedOnUnitWeights) {
     bfs.Run(s);
     dijkstra.Run(s);
     const auto& d1 = acc_bfs.Accumulate(bfs);
-    const auto& d2 = acc_dij.Accumulate(dijkstra.dag(), wg);
+    const auto& d2 = acc_dij.Accumulate(dijkstra.dag());
     for (VertexId v = 0; v < g.num_vertices(); ++v) {
       EXPECT_NEAR(d1[v], d2[v], 1e-9);
     }

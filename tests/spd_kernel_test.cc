@@ -1,13 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <numeric>
+#include <queue>
 #include <vector>
 
 #include "exact/brandes.h"
 #include "graph/generators.h"
+#include "graph/graph_algos.h"
 #include "graph/graph_builder.h"
 #include "sp/bfs_spd.h"
 #include "sp/dependency.h"
 #include "support/apsp_oracle.h"
+#include "util/rng.h"
 
 // Property and determinism tests for the direction-optimizing SPD kernel:
 // direction switching must be observationally invisible — bit-identical
@@ -270,8 +275,7 @@ TEST(BfsKernelTest, IntraPassParallelMatchesSequentialOnGeneratorZoo) {
       DependencyAccumulator sequential_acc(g);
       for (unsigned threads : {2u, 4u}) {
         BfsSpd parallel(g, WithThreads(base, threads));
-        DependencyAccumulator parallel_acc(g, parallel.intra_pool(),
-                                           /*parallel_grain=*/0);
+        DependencyAccumulator parallel_acc(g);
         const VertexId step = std::max<VertexId>(1, g.num_vertices() / 5);
         for (VertexId s = 0; s < g.num_vertices(); s += step) {
           SCOPED_TRACE("n=" + std::to_string(g.num_vertices()) + " threads=" +
@@ -370,6 +374,151 @@ TEST(BfsKernelTest, IntraPassZeroThreadsStandaloneIsSequential) {
   EXPECT_EQ(one.intra_pool(), nullptr);
   BfsSpd two(g, WithThreads(Hybrid(), 2));
   EXPECT_NE(two.intra_pool(), nullptr);
+}
+
+/// `graph` with its ids shuffled by a seeded random permutation, which
+/// scatters every BFS level over the id space.
+CsrGraph ScatterIds(const CsrGraph& graph, std::uint64_t seed) {
+  std::vector<VertexId> new_id(graph.num_vertices());
+  std::iota(new_id.begin(), new_id.end(), VertexId{0});
+  Rng rng(seed);
+  rng.Shuffle(&new_id);
+  return ApplyVertexPermutation(graph, new_id);
+}
+
+/// Textbook FIFO-queue BFS with path counting: no bitmap, no levels, no
+/// sort — an independent dist/sigma reference that scales past the
+/// O(n^3) ApspOracle.
+void QueueBfs(const CsrGraph& g, VertexId source,
+              std::vector<std::uint32_t>* dist,
+              std::vector<SigmaCount>* sigma) {
+  dist->assign(g.num_vertices(), kUnreachedDistance);
+  sigma->assign(g.num_vertices(), 0);
+  (*dist)[source] = 0;
+  (*sigma)[source] = 1;
+  std::queue<VertexId> queue;
+  queue.push(source);
+  while (!queue.empty()) {
+    const VertexId u = queue.front();
+    queue.pop();
+    for (VertexId v : g.neighbors(u)) {
+      if ((*dist)[v] == kUnreachedDistance) {
+        (*dist)[v] = (*dist)[u] + 1;
+        queue.push(v);
+      }
+      if ((*dist)[v] == (*dist)[u] + 1) (*sigma)[v] += (*sigma)[u];
+    }
+  }
+}
+
+TEST(BfsKernelTest, SortFreeFrontierMatchesReferenceOnScatteredIds) {
+  // Top-down levels are emitted either by a word scan of the level bitmap
+  // or, when the level is scattered thinly over the id space
+  // (BfsSpd::SortsLevel), by a sort. Shuffled ids on the grid and the
+  // paths push levels into the sort branch; BA and the complete graph keep
+  // levels dense. The 20000-vertex path is long enough for two-vertex
+  // segments inside one destination range of the 4-thread step to take
+  // the sort branch as well. Every branch must emit the canonical order.
+  struct Case {
+    CsrGraph graph;
+    std::vector<VertexId> sources;
+    bool expect_sparse;
+    bool expect_sparse_segments;
+  };
+  const auto spread = [](const CsrGraph& g) {
+    const VertexId n = g.num_vertices();
+    return std::vector<VertexId>{0, n / 3, n - 1};
+  };
+  std::vector<Case> cases;
+  cases.push_back({ScatterIds(MakeGrid(60, 60), 0x5F1), {}, true, false});
+  cases.push_back({ScatterIds(MakePath(2000), 0x5F2), {}, true, false});
+  cases.push_back({ScatterIds(MakePath(20000), 0x5F6), {}, true, true});
+  cases.back().sources = {cases.back().graph.num_vertices() / 2};
+  cases.push_back({ScatterIds(MakeBarabasiAlbert(5000, 4, 0x5F3), 0x5F4),
+                   {}, false, false});
+  cases.push_back({ScatterIds(MakeComplete(64), 0x5F5), {}, false, false});
+  for (Case& c : cases) {
+    const CsrGraph& g = c.graph;
+    const VertexId n = g.num_vertices();
+    if (c.sources.empty()) c.sources = spread(g);
+    // Destination-range width of TopDownLevelParallel, in bitmap words:
+    // the smallest power of two giving at most kFrontierShards ranges.
+    const std::size_t range_words =
+        std::bit_ceil(((n + 63) / 64 + BfsSpd::kFrontierShards - 1) /
+                      BfsSpd::kFrontierShards);
+    BfsSpd top_down(g, TopDown());
+    DependencyAccumulator top_down_acc(g);
+    DependencyAccumulator acc(g);
+    std::size_t sparse_levels = 0;
+    std::size_t dense_levels = 0;
+    std::size_t sparse_segments = 0;
+    for (VertexId s : c.sources) {
+      top_down.Run(s);
+      const ShortestPathDag& ref = top_down.dag();
+      const std::vector<double> ref_deltas = top_down_acc.Accumulate(ref);
+      std::vector<std::uint32_t> dist;
+      std::vector<SigmaCount> sigma;
+      QueueBfs(g, s, &dist, &sigma);
+      // Which emission branch each top-down level, and each of its
+      // per-range segments, takes. Singleton levels are never sorted, so
+      // only levels of two or more vertices count as dense.
+      for (std::size_t l = 1; l < ref.num_levels(); ++l) {
+        const auto first = ref.order.begin() + ref.level_offsets[l];
+        const auto last = ref.order.begin() + ref.level_offsets[l + 1];
+        const std::size_t size = static_cast<std::size_t>(last - first);
+        if (BfsSpd::SortsLevel(size, (*(last - 1) >> 6) - (*first >> 6))) {
+          ++sparse_levels;
+        } else if (size >= 2) {
+          ++dense_levels;
+        }
+        for (auto seg = first; seg != last;) {
+          const std::size_t range = (*seg >> 6) / range_words;
+          auto seg_end = seg;
+          while (seg_end != last && (*seg_end >> 6) / range_words == range) {
+            ++seg_end;
+          }
+          sparse_segments += BfsSpd::SortsLevel(
+              static_cast<std::size_t>(seg_end - seg),
+              (*(seg_end - 1) >> 6) - (*seg >> 6));
+          seg = seg_end;
+        }
+      }
+      for (unsigned threads : {1u, 4u}) {
+        SCOPED_TRACE("n=" + std::to_string(n) + " threads=" +
+                     std::to_string(threads) + " source=" +
+                     std::to_string(s));
+        BfsSpd bfs(g, WithThreads(Hybrid(), threads));
+        bfs.Run(s);
+        const ShortestPathDag& dag = bfs.dag();
+        ASSERT_EQ(dag.level_offsets.back(), dag.order.size());
+        std::vector<std::size_t> level_sizes(dag.num_levels(), 0);
+        for (VertexId v = 0; v < n; ++v) {
+          if (dist[v] != kUnreachedDistance) ++level_sizes.at(dist[v]);
+        }
+        for (std::size_t l = 0; l < dag.num_levels(); ++l) {
+          EXPECT_EQ(dag.level_offsets[l + 1] - dag.level_offsets[l],
+                    level_sizes[l])
+              << "level " << l;
+          for (std::size_t i = dag.level_offsets[l] + 1;
+               i < dag.level_offsets[l + 1]; ++i) {
+            ASSERT_LT(dag.order[i - 1], dag.order[i]) << "level " << l;
+          }
+        }
+        EXPECT_EQ(dag.dist, dist);
+        EXPECT_EQ(dag.sigma, sigma);
+        ExpectDagsIdentical(ref, dag);
+        ExpectPredsIdentical(ref, dag);
+        ASSERT_EQ(acc.Accumulate(dag), ref_deltas);
+      }
+    }
+    EXPECT_GT(dense_levels, 0u) << "n=" << n;
+    if (c.expect_sparse) {
+      EXPECT_GT(sparse_levels, 0u) << "n=" << n;
+    }
+    if (c.expect_sparse_segments) {
+      EXPECT_GT(sparse_segments, 0u) << "n=" << n;
+    }
+  }
 }
 
 TEST(BfsKernelTest, StatsAccumulateAcrossRuns) {

@@ -123,7 +123,7 @@ TEST(WeightedKernelTest, MatchesDijkstraValuesOnWeightedZoo) {
         EXPECT_EQ(pa, pb) << "vertex " << v;
       }
       const std::vector<double> da = delta_acc.Accumulate(delta);
-      const std::vector<double>& db = dijkstra_acc.Accumulate(b, g);
+      const std::vector<double>& db = dijkstra_acc.Accumulate(b);
       for (VertexId v = 0; v < g.num_vertices(); ++v) {
         EXPECT_TRUE(NearlyEqual(da[v], db[v], 1e-8))
             << "v=" << v << " delta=" << da[v] << " dij=" << db[v];
@@ -136,7 +136,7 @@ TEST(WeightedKernelTest, MatchesDijkstraValuesOnWeightedZoo) {
 
 TEST(WeightedKernelTest, WavesAreTopologicalLevelsInCanonicalOrder) {
   // Every recorded SPD edge must cross strictly backward in wave index
-  // (waves are topological levels — the property the fused level-parallel
+  // (waves are topological levels — the property the deepest-first
   // dependency sweep relies on), and within each wave the canonical order
   // is ascending (wdist, id).
   const CsrGraph g =
@@ -179,8 +179,7 @@ TEST(WeightedKernelTest, ParallelMatchesSequentialOnWeightedZoo) {
     DependencyAccumulator sequential_acc(g);
     for (unsigned threads : {2u, 4u}) {
       DeltaSpd parallel(g, WithThreads(threads));
-      DependencyAccumulator parallel_acc(g, parallel.intra_pool(),
-                                         /*parallel_grain=*/0);
+      DependencyAccumulator parallel_acc(g);
       const VertexId step = std::max<VertexId>(1, g.num_vertices() / 5);
       for (VertexId s = 0; s < g.num_vertices(); s += step) {
         SCOPED_TRACE("n=" + std::to_string(g.num_vertices()) + " threads=" +
