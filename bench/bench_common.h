@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -16,6 +17,25 @@
 /// regenerates one table/figure of the reconstructed evaluation suite
 /// (DESIGN.md §5) and prints a markdown table plus the seeds used, so every
 /// row of EXPERIMENTS.md can be reproduced by re-running the binary.
+
+// Build metadata, passed in as compile definitions by the bench targets
+// (CMakeLists.txt); the fallbacks keep the header compiling on its own.
+#ifndef MHBC_BENCH_BUILD_TYPE
+#define MHBC_BENCH_BUILD_TYPE "unknown"
+#endif
+#ifndef MHBC_BENCH_CXX_FLAGS
+#define MHBC_BENCH_CXX_FLAGS "unknown"
+#endif
+#ifndef MHBC_BENCH_GIT_SHA
+#define MHBC_BENCH_GIT_SHA "unknown"
+#endif
+#if defined(__clang__)
+#define MHBC_BENCH_COMPILER __VERSION__  // "Clang x.y.z ..." already
+#elif defined(__GNUC__)
+#define MHBC_BENCH_COMPILER "GCC " __VERSION__
+#else
+#define MHBC_BENCH_COMPILER "unknown"
+#endif
 
 namespace mhbc::bench {
 
@@ -54,10 +74,18 @@ inline void Banner(const char* id, const char* what) {
 /// free-form metadata) a harness prints and writes them as
 /// `BENCH_<id>.json` next to the markdown, i.e. into the working
 /// directory, so the perf trajectory is diffable/trackable across PRs
-/// without scraping stdout.
+/// without scraping stdout. Every report opens its metadata with the host
+/// and build that produced it: nproc, compiler, build type, flags, and the
+/// git sha read when the build was configured.
 class JsonReport {
  public:
-  explicit JsonReport(std::string bench_id) : bench_id_(std::move(bench_id)) {}
+  explicit JsonReport(std::string bench_id) : bench_id_(std::move(bench_id)) {
+    AddMeta("nproc", std::to_string(std::thread::hardware_concurrency()));
+    AddMeta("compiler", MHBC_BENCH_COMPILER);
+    AddMeta("build_type", MHBC_BENCH_BUILD_TYPE);
+    AddMeta("cxx_flags", MHBC_BENCH_CXX_FLAGS);
+    AddMeta("git_sha", MHBC_BENCH_GIT_SHA);
+  }
 
   /// Records a context key/value pair (graph size, seed, host threads...).
   void AddMeta(const std::string& key, const std::string& value) {

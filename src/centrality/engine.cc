@@ -118,16 +118,24 @@ BetweennessEngine::~BetweennessEngine() = default;
 
 // ------------------------------------------------------------ lazy state
 
+namespace {
+
+/// Bytes one dependency-memo entry costs: the memoized vector (n doubles)
+/// plus the pass distances kept for ApplyDelta's selective invalidation
+/// (n u32 hop distances unweighted, n double weighted distances weighted).
+std::size_t DependencyEntryBytes(const CsrGraph& graph) {
+  return static_cast<std::size_t>(graph.num_vertices()) *
+         (graph.weighted() ? sizeof(double) + sizeof(double)
+                           : sizeof(double) + sizeof(std::uint32_t));
+}
+
+}  // namespace
+
 std::size_t BetweennessEngine::DependencyCacheEntries(
     const CsrGraph& graph) const {
-  // Entry capacity from the byte budget: one memoized vector costs n
-  // doubles, plus the pass distances kept for ApplyDelta's selective
-  // invalidation (n u32 hop distances unweighted, n double weighted
-  // distances weighted); more than n entries can never be used.
-  const std::size_t bytes_per_entry =
-      static_cast<std::size_t>(graph.num_vertices()) *
-      (graph.weighted() ? sizeof(double) + sizeof(double)
-                        : sizeof(double) + sizeof(std::uint32_t));
+  // Entry capacity from the byte budget; more than n entries can never be
+  // used.
+  const std::size_t bytes_per_entry = DependencyEntryBytes(graph);
   if (bytes_per_entry == 0) return 0;
   return std::min<std::size_t>(
       options_.dependency_cache_bytes / bytes_per_entry,
@@ -205,8 +213,8 @@ void BetweennessEngine::EnsureShards() {
   // One fully sequential engine per pool worker. Shards split the memo
   // byte budget so the engine's total cache footprint stays within the
   // configured bound no matter how wide the pool is — but never below one
-  // entry (n doubles), or a large graph would silently disable shard
-  // memoization entirely. 0 stays 0: caching explicitly off.
+  // entry, or a large graph would silently disable shard memoization
+  // entirely. 0 stays 0: caching explicitly off.
   EngineOptions shard_options = options_;
   shard_options.num_threads = 1;
   // Shards are the parallel axis of a fan-out; their passes must stay
@@ -214,11 +222,9 @@ void BetweennessEngine::EnsureShards() {
   shard_options.spd.num_threads = 1;
   shard_options.dependency_cache_bytes =
       options_.dependency_cache_bytes / resolved_threads();
-  const std::size_t one_entry_bytes =
-      static_cast<std::size_t>(graph_->num_vertices()) * sizeof(double);
   if (options_.dependency_cache_bytes > 0) {
-    shard_options.dependency_cache_bytes =
-        std::max(shard_options.dependency_cache_bytes, one_entry_bytes);
+    shard_options.dependency_cache_bytes = std::max(
+        shard_options.dependency_cache_bytes, DependencyEntryBytes(*graph_));
   }
   shards_.reserve(pool()->num_threads());
   for (unsigned w = 0; w < pool()->num_threads(); ++w) {
@@ -807,27 +813,28 @@ StatusOr<std::vector<TopKEntry>> BetweennessEngine::TopK(std::uint32_t k,
 Status BetweennessEngine::ApplyDelta(const GraphDelta& delta) {
   if (delta.empty()) return Status::Ok();
   if (!dynamic_) {
-    // First mutation: take over graph ownership. The base starts as a
-    // zero-copy *view* of the construction graph — no O(n+m) copy, and
-    // nothing heavy retained if this first delta is rejected. The view
-    // never dangles: the construction graph outlives the engine per the
-    // constructor contract, and the first successful Apply is compacted
-    // into owned storage immediately below (Csr()).
+    // First mutation: take over graph ownership. The graph starts as a
+    // zero-copy *view* of the construction graph's out-CSR — no O(n+m)
+    // copy, and nothing heavy retained if this first delta is rejected.
+    // The view never dangles: the construction graph outlives the engine
+    // per the constructor contract, and the first successful Apply
+    // replaces it with owned storage.
     dynamic_ = std::make_unique<DynamicGraph>(CsrGraph::WrapExternal(
         graph_->raw_offsets(), graph_->raw_adjacency(),
-        graph_->raw_weights(), graph_->name()));
+        graph_->raw_weights(), graph_->name(), graph_->directed()));
   }
   std::vector<GraphEdit> resolved;
   MHBC_RETURN_IF_ERROR(dynamic_->Apply(delta, &resolved));
 
-  // Drop every piece of state bound to the pre-edit graph *before*
-  // materializing the post-edit CSR — compaction frees the old arrays.
-  // Samplers and shards rebuild lazily on next use. Whole-graph products
-  // (exact scores, RK credit vector, diameter estimate, joint-space
-  // result) are aggregates over all vertex pairs, which any edge edit —
-  // or, for a vertex append, the n-dependent normalization — touches, so
-  // they always reset; the dependency memo is the selectively-surviving
-  // part, handled by the oracle below.
+  // Once the engine owns the graph, a successful Apply has already freed
+  // the pre-edit arrays: nothing below may read state bound to them until
+  // it is reset (the oracle's ApplyGraphDelta reads only the new graph
+  // and tables the oracle owns). Samplers and shards rebuild lazily on
+  // next use. Whole-graph products (exact scores, RK credit vector,
+  // diameter estimate, joint-space result) are aggregates over all vertex
+  // pairs, which any edge edit — or, for a vertex append, the n-dependent
+  // normalization — touches, so they always reset; the dependency memo is
+  // the selectively-surviving part, handled by the oracle below.
   mh_.reset();
   uniform_.reset();
   distance_.reset();
@@ -840,7 +847,7 @@ Status BetweennessEngine::ApplyDelta(const GraphDelta& delta) {
   rk_credit_.reset();
   joint_cache_.reset();
 
-  const CsrGraph& next = dynamic_->Csr();  // materializes the edits
+  const CsrGraph& next = dynamic_->Csr();
   if (oracle_) {
     oracle_->ApplyGraphDelta(next, resolved);
     oracle_->set_cache_capacity(DependencyCacheEntries(next));

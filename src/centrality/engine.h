@@ -97,8 +97,8 @@
 /// but the graph.
 ///
 /// Graph mutation. ApplyDelta(delta) edits the served graph in place
-/// (through an internal DynamicGraph overlay; see graph/dynamic_graph.h)
-/// and advances graph_epoch(). The determinism contract extends to
+/// (an internal DynamicGraph writes the post-edit CSR; see
+/// graph/dynamic_graph.h) and advances graph_epoch(). The determinism contract extends to
 /// mutation: after ApplyDelta, every statistical report field is
 /// bit-identical to what a cold engine constructed on the post-edit graph
 /// (same options) would return for the same request — at every thread
@@ -403,7 +403,7 @@ class BetweennessEngine {
   EngineOptions options_;
 
   /// Mutation substrate, created by the first ApplyDelta; from then on
-  /// graph_ points at its materialized CSR.
+  /// graph_ points at its CSR.
   std::unique_ptr<DynamicGraph> dynamic_;
   std::uint64_t graph_epoch_ = 0;
 

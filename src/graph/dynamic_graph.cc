@@ -1,11 +1,15 @@
 #include "graph/dynamic_graph.h"
 
 #include <algorithm>
+#include <cmath>
 #include <fstream>
+#include <span>
 #include <sstream>
+#include <unordered_map>
 #include <unordered_set>
 #include <utility>
 
+#include "graph/graph_io.h"
 #include "util/rng.h"
 
 namespace mhbc {
@@ -81,11 +85,11 @@ StatusOr<GraphDelta> ParseEditScriptText(const std::string& text,
       if (!ParseVertex(tokens, &u) || !ParseVertex(tokens, &v)) {
         return fail("expected: add <u> <v> [w]");
       }
-      double weight = 1.0;
-      if (tokens >> weight) {
-        if (!(weight > 0.0)) return fail("edge weight must be positive");
-      } else {
-        tokens.clear();  // the weight is optional
+      double weight = 1.0;  // the weight is optional
+      std::string token;
+      if (tokens >> token && !ParseEdgeWeight(token, &weight)) {
+        return fail("edge weight must be a finite positive number, got '" +
+                    token + "'");
       }
       if (tokens >> trailing) return fail("trailing input '" + trailing + "'");
       delta.AddEdge(u, v, weight);
@@ -132,8 +136,8 @@ Status WriteEditScript(const GraphDelta& delta, const std::string& path) {
     return Status::IoError("cannot open edit script '" + path +
                            "' for writing");
   }
-  // Full double precision: weights must survive the round trip exactly
-  // (Apply's re-add cancel test compares weights bit-for-bit).
+  // Full double precision: a parsed script must reproduce the delta
+  // exactly, weights included.
   out.precision(17);
   for (const GraphEdit& edit : delta.edits()) {
     switch (edit.kind) {
@@ -157,69 +161,34 @@ Status WriteEditScript(const GraphDelta& delta, const std::string& path) {
 
 // ------------------------------------------------------------ DynamicGraph
 
-DynamicGraph::DynamicGraph(CsrGraph base, DynamicGraphOptions options)
-    : base_(std::move(base)),
-      options_(options),
-      num_edges_(base_.num_edges()) {}
-
-const DynamicGraph::VertexOverlay* DynamicGraph::overlay_for(
-    VertexId v) const {
-  const auto it = overlay_.find(v);
-  return it == overlay_.end() ? nullptr : &it->second;
-}
-
-bool DynamicGraph::ComposedHasEdge(const CsrGraph& base,
-                                   const VertexOverlay* ou, VertexId u,
-                                   VertexId v) {
-  if (ou != nullptr) {
-    const auto ait = std::lower_bound(
-        ou->added.begin(), ou->added.end(), v,
-        [](const Neighbor& n, VertexId id) { return n.id < id; });
-    if (ait != ou->added.end() && ait->id == v) return true;
-    if (std::binary_search(ou->removed.begin(), ou->removed.end(), v)) {
-      return false;
-    }
-  }
-  if (u < base.num_vertices() && v < base.num_vertices()) {
-    return base.HasEdge(u, v);
-  }
-  return false;
-}
+DynamicGraph::DynamicGraph(CsrGraph graph) : graph_(std::move(graph)) {}
 
 namespace {
 
-/// Inserts `value` into a sorted vector, keeping it sorted. Requires the
-/// value to be absent.
-template <typename T, typename Less>
-void SortedInsert(std::vector<T>* vec, T value, Less less) {
-  const auto it = std::lower_bound(vec->begin(), vec->end(), value, less);
-  vec->insert(it, std::move(value));
+/// The state of an edge the batch leaves absent (weights are positive).
+constexpr double kRemoved = 0.0;
+
+/// One out-slot of the post-edit CSR that differs from the pre-edit graph:
+/// from→to ends with `weight`, or is deleted when `weight` is kRemoved.
+struct HalfEdge {
+  VertexId from;
+  VertexId to;
+  double weight;
+  bool in_base;  ///< the pre-edit graph holds from→to
+};
+
+std::string EdgeIds(VertexId u, VertexId v) {
+  // Built by append: `const char* + std::string&&` trips a GCC 12
+  // -Wrestrict false positive in the inlined libstdc++ concatenation.
+  std::string out = "{";
+  out += std::to_string(u);
+  out += ',';
+  out += std::to_string(v);
+  out += '}';
+  return out;
 }
 
 }  // namespace
-
-void DynamicGraph::AddDirected(VertexOverlay* side, VertexId to,
-                               double weight) {
-  SortedInsert(&side->added, Neighbor{to, weight},
-               [](const Neighbor& a, const Neighbor& b) { return a.id < b.id; });
-}
-
-bool DynamicGraph::RemoveDirected(const CsrGraph& base, VertexOverlay* side,
-                                  VertexId from, VertexId to) {
-  // An overlay-added half-edge cancels out; a base half-edge is masked.
-  const auto ait = std::lower_bound(
-      side->added.begin(), side->added.end(), to,
-      [](const Neighbor& n, VertexId id) { return n.id < id; });
-  if (ait != side->added.end() && ait->id == to) {
-    side->added.erase(ait);
-    // When the base also holds {from,to} (an edge removed and re-added
-    // with a different weight), the mask entry must stay in place.
-    return true;
-  }
-  MHBC_DCHECK(from < base.num_vertices() && to < base.num_vertices());
-  SortedInsert(&side->removed, to, std::less<VertexId>());
-  return false;
-}
 
 Status DynamicGraph::Apply(const GraphDelta& delta,
                            std::vector<GraphEdit>* resolved) {
@@ -227,321 +196,162 @@ Status DynamicGraph::Apply(const GraphDelta& delta,
     if (resolved != nullptr) resolved->clear();
     return Status::Ok();
   }
-  // Stage the whole batch on a clone of the overlay state so a failing op
-  // leaves the graph untouched (the clone is O(overlay), which the
-  // compaction threshold keeps small).
-  auto staged = overlay_;
-  std::uint32_t staged_extra = extra_vertices_;
-  std::uint64_t staged_edges = num_edges_;
-  std::size_t staged_overlay = overlay_edits_;
-  std::vector<GraphEdit> staged_resolved;
-  staged_resolved.reserve(delta.size());
-
-  const auto ids = [](VertexId u, VertexId v) {
-    // Built by append: `const char* + std::string&&` trips a GCC 12
-    // -Wrestrict false positive in the inlined libstdc++ concatenation.
-    std::string out = "{";
-    out += std::to_string(u);
-    out += ',';
-    out += std::to_string(v);
-    out += '}';
-    return out;
+  const bool directed = graph_.directed();
+  const bool weighted = graph_.weighted();
+  const VertexId base_n = graph_.num_vertices();
+  // Edge key: the arc u→v when directed, the pair u<v when undirected.
+  const auto key = [directed](VertexId u, VertexId v) {
+    if (!directed && u > v) std::swap(u, v);
+    return (static_cast<std::uint64_t>(u) << 32) | v;
   };
+  const auto in_base = [&](VertexId u, VertexId v) {
+    return u < base_n && v < base_n && graph_.HasEdge(u, v);
+  };
+
+  // Validation: each op checks against the pre-edit graph overlaid with
+  // `touched` — the weight every edge the batch has touched so far ends
+  // with, or kRemoved. Only O(batch) state is built, so an invalid batch
+  // costs nothing proportional to the graph.
+  std::unordered_map<std::uint64_t, double> touched;
+  const auto current_weight = [&](VertexId u, VertexId v) {
+    const auto it = touched.find(key(u, v));
+    if (it != touched.end()) return it->second;
+    return in_base(u, v) ? graph_.EdgeWeight(u, v) : kRemoved;
+  };
+  VertexId n = base_n;
+  std::vector<GraphEdit> applied;
+  applied.reserve(delta.size());
   for (const GraphEdit& edit : delta.edits()) {
-    const VertexId n = base_.num_vertices() + staged_extra;
     switch (edit.kind) {
       case GraphEdit::Kind::kAddVertex: {
         if (n == kInvalidVertex) {
           return Status::InvalidArgument("vertex id space exhausted");
         }
-        ++staged_extra;
-        staged_resolved.push_back(edit);
+        ++n;
+        applied.push_back(edit);
         break;
       }
       case GraphEdit::Kind::kAddEdge: {
+        const std::string what = "add " + EdgeIds(edit.u, edit.v);
         if (edit.u >= n || edit.v >= n) {
-          return Status::InvalidArgument("add " + ids(edit.u, edit.v) +
-                                         ": vertex out of range (n=" +
+          return Status::InvalidArgument(what + ": vertex out of range (n=" +
                                          std::to_string(n) + ")");
         }
         if (edit.u == edit.v) {
           return Status::InvalidArgument(
-              "add " + ids(edit.u, edit.v) +
-              ": self-loops are not allowed (paper graph model)");
+              what + ": self-loops are not allowed (paper graph model)");
         }
         if (!(edit.weight > 0.0)) {
-          return Status::InvalidArgument("add " + ids(edit.u, edit.v) +
+          return Status::InvalidArgument(what +
                                          ": edge weight must be positive");
         }
-        if (!weighted() && edit.weight != 1.0) {
+        if (!std::isfinite(edit.weight)) {
+          return Status::InvalidArgument(what +
+                                         ": edge weight must be finite");
+        }
+        if (!weighted && edit.weight != 1.0) {
           return Status::InvalidArgument(
-              "add " + ids(edit.u, edit.v) +
-              ": cannot add a weighted edge to an unweighted graph");
+              what + ": cannot add a weighted edge to an unweighted graph");
         }
-        const auto it = staged.find(edit.u);
-        const VertexOverlay* ou = it == staged.end() ? nullptr : &it->second;
-        if (ComposedHasEdge(base_, ou, edit.u, edit.v)) {
-          return Status::InvalidArgument("add " + ids(edit.u, edit.v) +
-                                         ": edge already exists");
+        if (current_weight(edit.u, edit.v) != kRemoved) {
+          return Status::InvalidArgument(what + ": edge already exists");
         }
-        // Re-adding a previously-removed base edge at its base weight
-        // cancels the mask instead of stacking an added entry.
-        auto cancel_mask = [&](VertexId from, VertexId to) {
-          VertexOverlay& side = staged[from];
-          const auto rit = std::lower_bound(side.removed.begin(),
-                                            side.removed.end(), to);
-          if (rit != side.removed.end() && *rit == to &&
-              base_.EdgeWeight(from, to) == edit.weight) {
-            side.removed.erase(rit);
-            return true;
-          }
-          return false;
-        };
-        const bool masked =
-            edit.u < base_.num_vertices() && edit.v < base_.num_vertices() &&
-            base_.HasEdge(edit.u, edit.v);
-        if (directed()) {
-          // One arc, one overlay side: the reciprocal arc v→u is an
-          // independent edge and its overlay state stays untouched.
-          if (masked && cancel_mask(edit.u, edit.v)) {
-            staged_overlay -= 1;
-          } else {
-            AddDirected(&staged[edit.u], edit.v, edit.weight);
-            staged_overlay += 1;
-          }
-        } else if (masked && cancel_mask(edit.u, edit.v)) {
-          const bool other = cancel_mask(edit.v, edit.u);
-          MHBC_DCHECK(other);
-          staged_overlay -= 2;
-        } else {
-          AddDirected(&staged[edit.u], edit.v, edit.weight);
-          AddDirected(&staged[edit.v], edit.u, edit.weight);
-          staged_overlay += 2;
-        }
-        ++staged_edges;
-        staged_resolved.push_back(edit);
+        touched[key(edit.u, edit.v)] = edit.weight;
+        applied.push_back(edit);
         break;
       }
       case GraphEdit::Kind::kRemoveEdge: {
+        const std::string what = "remove " + EdgeIds(edit.u, edit.v);
         if (edit.u >= n || edit.v >= n) {
-          return Status::InvalidArgument("remove " + ids(edit.u, edit.v) +
-                                         ": vertex out of range (n=" +
+          return Status::InvalidArgument(what + ": vertex out of range (n=" +
                                          std::to_string(n) + ")");
         }
         if (edit.u == edit.v) {
-          return Status::InvalidArgument("remove " + ids(edit.u, edit.v) +
-                                         ": self-loops never exist");
-        }
-        const auto it = staged.find(edit.u);
-        const VertexOverlay* ou = it == staged.end() ? nullptr : &it->second;
-        if (!ComposedHasEdge(base_, ou, edit.u, edit.v)) {
-          return Status::InvalidArgument("remove " + ids(edit.u, edit.v) +
-                                         ": no such edge");
+          return Status::InvalidArgument(what + ": self-loops never exist");
         }
         GraphEdit done = edit;
-        // Resolve the weight the edge had before it disappears: the
-        // invalidation test upstream needs it graph-free.
-        const auto ait =
-            ou == nullptr
-                ? nullptr
-                : [&]() -> const Neighbor* {
-                    const auto pos = std::lower_bound(
-                        ou->added.begin(), ou->added.end(), edit.v,
-                        [](const Neighbor& a, VertexId id) {
-                          return a.id < id;
-                        });
-                    return pos != ou->added.end() && pos->id == edit.v
-                               ? &*pos
-                               : nullptr;
-                  }();
-        done.weight =
-            ait != nullptr ? ait->weight : base_.EdgeWeight(edit.u, edit.v);
-        if (directed()) {
-          const bool cancelled =
-              RemoveDirected(base_, &staged[edit.u], edit.u, edit.v);
-          staged_overlay += cancelled ? -1 : 1;
-        } else {
-          const bool cancelled_u =
-              RemoveDirected(base_, &staged[edit.u], edit.u, edit.v);
-          const bool cancelled_v =
-              RemoveDirected(base_, &staged[edit.v], edit.v, edit.u);
-          MHBC_DCHECK(cancelled_u == cancelled_v);
-          staged_overlay += cancelled_u ? -2 : 2;
+        // The weight the edge had before it disappears: the invalidation
+        // test upstream needs it graph-free.
+        done.weight = current_weight(edit.u, edit.v);
+        if (done.weight == kRemoved) {
+          return Status::InvalidArgument(what + ": no such edge");
         }
-        --staged_edges;
-        staged_resolved.push_back(done);
+        touched[key(edit.u, edit.v)] = kRemoved;
+        applied.push_back(done);
         break;
       }
     }
   }
 
-  overlay_ = std::move(staged);
-  extra_vertices_ = staged_extra;
-  num_edges_ = staged_edges;
-  overlay_edits_ = staged_overlay;
-  ++epoch_;
-  dirty_ = true;
-  if (resolved != nullptr) *resolved = std::move(staged_resolved);
-
-  const std::size_t threshold = std::max(
-      options_.min_compact_edits,
-      static_cast<std::size_t>(options_.compact_fraction *
-                               static_cast<double>(base_.raw_adjacency().size())));
-  if (overlay_edits_ > threshold) Compact();
-  return Status::Ok();
-}
-
-Status DynamicGraph::AddEdge(VertexId u, VertexId v, double weight) {
-  GraphDelta delta;
-  delta.AddEdge(u, v, weight);
-  return Apply(delta);
-}
-
-Status DynamicGraph::RemoveEdge(VertexId u, VertexId v) {
-  GraphDelta delta;
-  delta.RemoveEdge(u, v);
-  return Apply(delta);
-}
-
-VertexId DynamicGraph::AddVertex() {
-  const VertexId id = num_vertices();
-  GraphDelta delta;
-  delta.AddVertices(1);
-  const Status status = Apply(delta);
-  MHBC_DCHECK(status.ok());
-  return id;
-}
-
-std::uint32_t DynamicGraph::degree(VertexId v) const {
-  MHBC_DCHECK(v < num_vertices());
-  std::uint32_t deg = v < base_.num_vertices() ? base_.degree(v) : 0;
-  if (const VertexOverlay* ov = overlay_for(v)) {
-    deg -= static_cast<std::uint32_t>(ov->removed.size());
-    deg += static_cast<std::uint32_t>(ov->added.size());
-  }
-  return deg;
-}
-
-bool DynamicGraph::HasEdge(VertexId u, VertexId v) const {
-  MHBC_DCHECK(u < num_vertices());
-  MHBC_DCHECK(v < num_vertices());
-  return ComposedHasEdge(base_, overlay_for(u), u, v);
-}
-
-double DynamicGraph::EdgeWeight(VertexId u, VertexId v) const {
-  MHBC_DCHECK(HasEdge(u, v));
-  if (const VertexOverlay* ov = overlay_for(u)) {
-    const auto ait = std::lower_bound(
-        ov->added.begin(), ov->added.end(), v,
-        [](const Neighbor& n, VertexId id) { return n.id < id; });
-    if (ait != ov->added.end() && ait->id == v) return ait->weight;
-  }
-  return base_.EdgeWeight(u, v);
-}
-
-// -------------------------------------------------------- neighbor merging
-
-DynamicGraph::Neighbor DynamicGraph::NeighborIterator::operator*() const {
-  const bool has_base = base_pos_ < base_ids_.size();
-  const bool has_added = added_pos_ < added_.size();
-  MHBC_DCHECK(has_base || has_added);
-  if (has_added &&
-      (!has_base || added_[added_pos_].id < base_ids_[base_pos_])) {
-    return added_[added_pos_];
-  }
-  return Neighbor{base_ids_[base_pos_],
-                  base_weights_.empty() ? 1.0 : base_weights_[base_pos_]};
-}
-
-DynamicGraph::NeighborIterator& DynamicGraph::NeighborIterator::operator++() {
-  const bool has_base = base_pos_ < base_ids_.size();
-  const bool has_added = added_pos_ < added_.size();
-  if (has_added &&
-      (!has_base || added_[added_pos_].id < base_ids_[base_pos_])) {
-    ++added_pos_;
-  } else {
-    ++base_pos_;
-    SkipRemoved();
-  }
-  return *this;
-}
-
-bool DynamicGraph::NeighborIterator::operator!=(
-    const NeighborIterator& other) const {
-  return base_pos_ != other.base_pos_ || added_pos_ != other.added_pos_;
-}
-
-void DynamicGraph::NeighborIterator::SkipRemoved() {
-  while (base_pos_ < base_ids_.size()) {
-    const VertexId id = base_ids_[base_pos_];
-    while (removed_pos_ < removed_.size() && removed_[removed_pos_] < id) {
-      ++removed_pos_;
-    }
-    if (removed_pos_ < removed_.size() && removed_[removed_pos_] == id) {
-      ++base_pos_;
+  // Build: every touched edge whose final state differs from the pre-edit
+  // graph becomes one changed half-edge per stored direction, sorted so
+  // each vertex's changes merge into its ascending base slice in order.
+  std::vector<HalfEdge> changes;
+  changes.reserve(2 * touched.size());
+  for (const auto& [edge, weight] : touched) {
+    const auto u = static_cast<VertexId>(edge >> 32);
+    const auto v = static_cast<VertexId>(edge & 0xffffffffu);
+    const bool was = in_base(u, v);
+    // Added then removed, or removed then re-added at the same weight.
+    if (was ? weight == graph_.EdgeWeight(u, v) : weight == kRemoved) {
       continue;
     }
-    break;
+    changes.push_back(HalfEdge{u, v, weight, was});
+    if (!directed) changes.push_back(HalfEdge{v, u, weight, was});
   }
-}
-
-DynamicGraph::NeighborRange DynamicGraph::neighbors(VertexId v) const {
-  MHBC_DCHECK(v < num_vertices());
-  NeighborIterator it;
-  if (v < base_.num_vertices()) {
-    it.base_ids_ = base_.neighbors(v);
-    it.base_weights_ = base_.weights(v);
+  std::sort(changes.begin(), changes.end(),
+            [](const HalfEdge& a, const HalfEdge& b) {
+              return a.from != b.from ? a.from < b.from : a.to < b.to;
+            });
+  std::size_t adjacency_len = graph_.raw_adjacency().size();
+  for (const HalfEdge& change : changes) {
+    if (!change.in_base) ++adjacency_len;            // inserted
+    if (change.weight == kRemoved) --adjacency_len;  // deleted
   }
-  if (const VertexOverlay* ov = overlay_for(v)) {
-    it.removed_ = ov->removed;
-    it.added_ = ov->added;
-  }
-  NeighborRange range;
-  range.end_ = it;
-  range.end_.base_pos_ = it.base_ids_.size();
-  range.end_.removed_pos_ = it.removed_.size();
-  range.end_.added_pos_ = it.added_.size();
-  it.SkipRemoved();
-  range.begin_ = it;
-  return range;
-}
 
-// --------------------------------------------------------------- compaction
-
-void DynamicGraph::Compact() {
-  if (!dirty_) return;
-  const VertexId n = num_vertices();
-  std::vector<EdgeId> offsets(static_cast<std::size_t>(n) + 1, 0);
+  std::vector<EdgeId> offsets(static_cast<std::size_t>(n) + 1);
+  std::vector<VertexId> adjacency;
+  adjacency.reserve(adjacency_len);
+  std::vector<double> weights;
+  if (weighted) weights.reserve(adjacency_len);
+  auto change = changes.begin();
   for (VertexId v = 0; v < n; ++v) {
-    offsets[v + 1] = offsets[v] + degree(v);
-  }
-  const std::size_t adjacency_len = static_cast<std::size_t>(offsets[n]);
-  MHBC_DCHECK(adjacency_len == (directed() ? num_edges_ : 2 * num_edges_));
-  std::vector<VertexId> adjacency(adjacency_len);
-  std::vector<double> weight_array;
-  if (weighted()) weight_array.resize(adjacency_len);
-  for (VertexId v = 0; v < n; ++v) {
-    std::size_t pos = static_cast<std::size_t>(offsets[v]);
-    for (const Neighbor nb : neighbors(v)) {
-      adjacency[pos] = nb.id;
-      if (weighted()) weight_array[pos] = nb.weight;
-      ++pos;
+    offsets[v] = adjacency.size();
+    const std::span<const VertexId> ids =
+        v < base_n ? graph_.neighbors(v) : std::span<const VertexId>();
+    const std::span<const double> ws =
+        v < base_n ? graph_.weights(v) : std::span<const double>();
+    std::size_t copied = 0;  // base slots of v already merged
+    const auto copy_base_until = [&](std::size_t end) {
+      adjacency.insert(adjacency.end(), ids.begin() + copied,
+                       ids.begin() + end);
+      if (weighted) {
+        weights.insert(weights.end(), ws.begin() + copied, ws.begin() + end);
+      }
+      copied = end;
+    };
+    for (; change != changes.end() && change->from == v; ++change) {
+      const auto pos = static_cast<std::size_t>(
+          std::lower_bound(ids.begin() + copied, ids.end(), change->to) -
+          ids.begin());
+      copy_base_until(pos);
+      if (change->in_base) ++copied;  // replaced or deleted below
+      if (change->weight != kRemoved) {
+        adjacency.push_back(change->to);
+        if (weighted) weights.push_back(change->weight);
+      }
     }
-    MHBC_DCHECK(pos == offsets[v + 1]);
+    copy_base_until(ids.size());
   }
-  std::string name = base_.name();
-  base_ = CsrGraph::AdoptVerbatim(std::move(offsets), std::move(adjacency),
-                                  std::move(weight_array), std::move(name),
-                                  directed());
-  overlay_.clear();
-  extra_vertices_ = 0;
-  overlay_edits_ = 0;
-  dirty_ = false;
-}
+  offsets[n] = adjacency.size();
+  MHBC_DCHECK(adjacency.size() == adjacency_len);
 
-const CsrGraph& DynamicGraph::Csr() {
-  if (dirty_) Compact();
-  return base_;
+  std::string name = graph_.name();
+  graph_ = CsrGraph::AdoptVerbatim(std::move(offsets), std::move(adjacency),
+                                   std::move(weights), std::move(name),
+                                   directed);
+  if (resolved != nullptr) *resolved = std::move(applied);
+  return Status::Ok();
 }
 
 // -------------------------------------------------------- random scripts

@@ -1,6 +1,7 @@
 #include "graph/graph_io.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
@@ -56,14 +57,12 @@ StatusOr<CsrGraph> ParseEdgeList(std::istream& in,
     }
     double w = 1.0;
     if (options.allow_weights) {
-      double parsed = 0.0;
-      if (fields >> parsed) {
-        if (!(parsed > 0.0)) {
-          return Status::InvalidArgument(
-              "line " + std::to_string(line_no) +
-              ": edge weight must be positive, got " + std::to_string(parsed));
-        }
-        w = parsed;
+      std::string token;
+      if (fields >> token && !ParseEdgeWeight(token, &w)) {
+        return Status::InvalidArgument(
+            "line " + std::to_string(line_no) +
+            ": edge weight must be a finite positive number, got '" + token +
+            "'");
       }
     } else {
       std::string extra;
@@ -151,6 +150,19 @@ Status WriteEdgeList(const CsrGraph& graph, const std::string& path) {
     return Status::IoError("write to '" + path + "' failed");
   }
   return Status::Ok();
+}
+
+bool ParseEdgeWeight(const std::string& token, double* weight) {
+  char* end = nullptr;
+  const double value = std::strtod(token.c_str(), &end);
+  // strtod maps an overflowing literal to HUGE_VAL, so the finiteness test
+  // also rejects "1e999".
+  if (token.empty() || end != token.c_str() + token.size() ||
+      !std::isfinite(value) || !(value > 0.0)) {
+    return false;
+  }
+  *weight = value;
+  return true;
 }
 
 StatusOr<std::vector<VertexId>> ParseVertexIdListStrict(

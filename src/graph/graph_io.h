@@ -46,8 +46,9 @@ struct EdgeListStats {
 
 /// Options for LoadSnapEdgeList / ParseEdgeList.
 struct EdgeListOptions {
-  /// Lines whose third column parses as a positive double become weighted
-  /// edges; otherwise a third column is an error.
+  /// Lines with a third column become weighted edges; the column must
+  /// parse (ParseEdgeWeight) or the load fails. When false a third column
+  /// is an error.
   bool allow_weights = false;
   /// Keep only the largest connected component (the paper assumes a
   /// connected G; SNAP graphs have small satellite components). On a
@@ -77,6 +78,13 @@ StatusOr<CsrGraph> ParseEdgeList(std::istream& in, const EdgeListOptions& option
 /// Loads a SNAP-format edge-list file.
 StatusOr<CsrGraph> LoadSnapEdgeList(const std::string& path,
                                     const EdgeListOptions& options);
+
+/// Parses `token` as an edge weight: the whole token must be a finite
+/// positive double ("2.5", "1e-3"). False on anything else — trailing
+/// junk ("2.5x"), overflow ("1e999"), inf, nan, zero or a negative value.
+/// The one weight-token rule of the edge-list loader and the edit-script
+/// reader.
+bool ParseEdgeWeight(const std::string& token, double* weight);
 
 /// Parses a comma-separated vertex-id list ("3,17,42" -> {3, 17, 42}).
 /// Tokens are whitespace-trimmed ("3, 17" works) and empty tokens are

@@ -684,31 +684,65 @@ TEST_F(DirectedFileTest, IngestFrontEndPlumbsDirectednessAndMirrorCounts) {
 
 // -------------------------------------------------------- dynamic graph
 
-TEST(DirectedDynamicGraphTest, SingleArcEditsAndCompact) {
+TEST(DirectedDynamicGraphTest, SingleArcEdits) {
   DynamicGraph dynamic(BuildDirected(4, {{0, 1}, {1, 2}}));
-  EXPECT_TRUE(dynamic.directed());
-  EXPECT_EQ(dynamic.num_edges(), 2u);
+  const auto apply = [&dynamic](auto fill) {
+    GraphDelta delta;
+    fill(delta);
+    return dynamic.Apply(delta);
+  };
+  EXPECT_TRUE(dynamic.Csr().directed());
+  EXPECT_EQ(dynamic.Csr().num_edges(), 2u);
 
   // Adding the arc 2→0 must not create 0→2.
-  ASSERT_TRUE(dynamic.AddEdge(2, 0).ok());
-  EXPECT_TRUE(dynamic.HasEdge(2, 0));
-  EXPECT_FALSE(dynamic.HasEdge(0, 2));
-  EXPECT_EQ(dynamic.num_edges(), 3u);
+  ASSERT_TRUE(apply([](GraphDelta& d) { d.AddEdge(2, 0); }).ok());
+  EXPECT_TRUE(dynamic.Csr().HasEdge(2, 0));
+  EXPECT_FALSE(dynamic.Csr().HasEdge(0, 2));
+  EXPECT_EQ(dynamic.Csr().num_edges(), 3u);
 
   // The reciprocal arc is an independent insert, not a duplicate.
-  ASSERT_TRUE(dynamic.AddEdge(0, 2).ok());
-  EXPECT_EQ(dynamic.num_edges(), 4u);
+  ASSERT_TRUE(apply([](GraphDelta& d) { d.AddEdge(0, 2); }).ok());
+  EXPECT_EQ(dynamic.Csr().num_edges(), 4u);
+  EXPECT_FALSE(apply([](GraphDelta& d) { d.AddEdge(0, 2); }).ok());
 
   // Removing one orientation leaves the other.
-  ASSERT_TRUE(dynamic.RemoveEdge(2, 0).ok());
-  EXPECT_FALSE(dynamic.HasEdge(2, 0));
-  EXPECT_TRUE(dynamic.HasEdge(0, 2));
-  EXPECT_EQ(dynamic.num_edges(), 3u);
+  ASSERT_TRUE(apply([](GraphDelta& d) { d.RemoveEdge(2, 0); }).ok());
+  EXPECT_FALSE(dynamic.Csr().HasEdge(2, 0));
+  EXPECT_TRUE(dynamic.Csr().HasEdge(0, 2));
+  EXPECT_FALSE(apply([](GraphDelta& d) { d.RemoveEdge(2, 0); }).ok());
 
-  dynamic.Compact();
-  const CsrGraph& compacted = dynamic.Csr();
-  ExpectDirectedGraphsIdentical(compacted,
+  // Out- and in-CSR (the transpose) both match a scratch build.
+  ExpectDirectedGraphsIdentical(dynamic.Csr(),
                                 BuildDirected(4, {{0, 1}, {0, 2}, {1, 2}}));
+}
+
+TEST(DirectedDynamicGraphTest, EngineApplyDeltaKeepsTheGraphDirected) {
+  const CsrGraph start = MakeDirectedLcg(60, 180, 0xA7);
+  BetweennessEngine engine(start);
+  GraphDelta delta;
+  for (VertexId u = 0; u < start.num_vertices(); ++u) {
+    const auto out = start.neighbors(u);
+    if (!out.empty() && !start.HasEdge(out[0], u)) {
+      delta.AddEdge(out[0], u);  // the reciprocal of an existing arc
+      break;
+    }
+  }
+  ASSERT_EQ(delta.size(), 1u);
+  ASSERT_TRUE(engine.ApplyDelta(delta).ok());
+  DynamicGraph scratch(start);
+  ASSERT_TRUE(scratch.Apply(delta).ok());
+  ExpectDirectedGraphsIdentical(engine.graph(), scratch.Csr());
+
+  EstimateRequest request;
+  request.kind = EstimatorKind::kMetropolisHastings;
+  request.samples = 120;
+  BetweennessEngine cold(scratch.Csr());
+  for (const VertexId v : {VertexId{5}, VertexId{31}}) {
+    const auto warm = engine.Estimate(v, request);
+    const auto fresh = cold.Estimate(v, request);
+    ASSERT_TRUE(warm.ok() && fresh.ok());
+    ExpectSameStatistics(warm.value(), fresh.value(), "post-edit");
+  }
 }
 
 // ------------------------------------------------- algos + normalization

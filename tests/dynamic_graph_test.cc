@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -14,6 +17,7 @@
 #include "exact/dependency_oracle.h"
 #include "graph/generators.h"
 #include "graph/graph_builder.h"
+#include "util/rng.h"
 
 namespace mhbc {
 namespace {
@@ -21,44 +25,65 @@ namespace {
 // ---------------------------------------------------------------- helpers
 
 /// Reference model of an evolving graph: the edge map is the ground truth
-/// the DynamicGraph composition and every scratch rebuild are checked
-/// against.
+/// DynamicGraph::Csr() and every scratch rebuild are checked against.
 struct Model {
   VertexId n = 0;
   bool weighted = false;
-  std::map<std::pair<VertexId, VertexId>, double> edges;  // key u < v
+  bool directed = false;
+  /// Key: the arc (u, v) when directed, the pair with u < v when not.
+  std::map<std::pair<VertexId, VertexId>, double> edges;
 
   static Model FromGraph(const CsrGraph& graph) {
     Model model;
     model.n = graph.num_vertices();
     model.weighted = graph.weighted();
+    model.directed = graph.directed();
     for (const CsrGraph::Edge& e : graph.CollectEdges()) {
-      model.edges[{std::min(e.u, e.v), std::max(e.u, e.v)}] = e.weight;
+      model.edges[model.Key(e.u, e.v)] = e.weight;
     }
     return model;
   }
 
-  void Apply(const GraphDelta& delta) {
+  std::pair<VertexId, VertexId> Key(VertexId u, VertexId v) const {
+    if (!directed && u > v) std::swap(u, v);
+    return {u, v};
+  }
+
+  /// Applies `delta` if every op is valid in sequence and returns true;
+  /// otherwise returns false and leaves the model unchanged. The rules are
+  /// restated here independently of DynamicGraph::Apply.
+  bool TryApply(const GraphDelta& delta) {
+    Model next = *this;
     for (const GraphEdit& edit : delta.edits()) {
-      const auto key = std::minmax(edit.u, edit.v);
-      switch (edit.kind) {
-        case GraphEdit::Kind::kAddVertex:
-          ++n;
-          break;
-        case GraphEdit::Kind::kAddEdge:
-          ASSERT_EQ(edges.count({key.first, key.second}), 0u);
-          edges[{key.first, key.second}] = edit.weight;
-          break;
-        case GraphEdit::Kind::kRemoveEdge:
-          ASSERT_EQ(edges.erase({key.first, key.second}), 1u);
-          break;
+      if (edit.kind == GraphEdit::Kind::kAddVertex) {
+        if (next.n == kInvalidVertex) return false;
+        ++next.n;
+        continue;
+      }
+      if (edit.u >= next.n || edit.v >= next.n || edit.u == edit.v) {
+        return false;
+      }
+      const auto key = Key(edit.u, edit.v);
+      if (edit.kind == GraphEdit::Kind::kAddEdge) {
+        if (!(edit.weight > 0.0) || !std::isfinite(edit.weight) ||
+            (!weighted && edit.weight != 1.0) || next.edges.count(key) != 0) {
+          return false;
+        }
+        next.edges[key] = edit.weight;
+      } else if (next.edges.erase(key) != 1) {
+        return false;
       }
     }
+    *this = std::move(next);
+    return true;
   }
+
+  void Apply(const GraphDelta& delta) { ASSERT_TRUE(TryApply(delta)); }
 
   /// Scratch rebuild through the ordinary construction path.
   CsrGraph Build() const {
     GraphBuilder builder(n);
+    builder.set_directed(directed);
     for (const auto& [key, weight] : edges) {
       if (weighted) {
         builder.AddWeightedEdge(key.first, key.second, weight);
@@ -76,6 +101,7 @@ void ExpectGraphsIdentical(const CsrGraph& a, const CsrGraph& b) {
   ASSERT_EQ(a.num_vertices(), b.num_vertices());
   ASSERT_EQ(a.num_edges(), b.num_edges());
   ASSERT_EQ(a.weighted(), b.weighted());
+  ASSERT_EQ(a.directed(), b.directed());
   for (VertexId v = 0; v < a.num_vertices(); ++v) {
     const auto na = a.neighbors(v);
     const auto nb = b.neighbors(v);
@@ -93,63 +119,61 @@ void ExpectGraphsIdentical(const CsrGraph& a, const CsrGraph& b) {
   }
 }
 
-/// Checks the dynamic graph's composed accessors against the model.
-void ExpectMatchesModel(const DynamicGraph& dynamic, const Model& model) {
-  ASSERT_EQ(dynamic.num_vertices(), model.n);
-  ASSERT_EQ(dynamic.num_edges(), model.edges.size());
-  std::vector<std::vector<std::pair<VertexId, double>>> adjacency(model.n);
-  for (const auto& [key, weight] : model.edges) {
-    adjacency[key.first].emplace_back(key.second, weight);
-    adjacency[key.second].emplace_back(key.first, weight);
+/// Orients each edge of an undirected graph: u→v, v→u, or both.
+CsrGraph Orient(const CsrGraph& graph, std::uint64_t seed) {
+  Rng rng(seed);
+  GraphBuilder builder(graph.num_vertices());
+  builder.set_directed(true);
+  for (const CsrGraph::Edge& e : graph.CollectEdges()) {
+    const std::uint64_t roll = rng.NextBounded(3);
+    if (roll != 1) builder.AddEdge(e.u, e.v);
+    if (roll != 0) builder.AddEdge(e.v, e.u);
   }
-  for (VertexId v = 0; v < model.n; ++v) {
-    ASSERT_EQ(dynamic.degree(v), adjacency[v].size()) << "vertex " << v;
-    std::size_t i = 0;
-    for (const DynamicGraph::Neighbor nb : dynamic.neighbors(v)) {
-      ASSERT_LT(i, adjacency[v].size()) << "vertex " << v;
-      EXPECT_EQ(nb.id, adjacency[v][i].first) << "vertex " << v;
-      EXPECT_EQ(nb.weight, model.weighted ? adjacency[v][i].second : 1.0)
-          << "vertex " << v;
-      ++i;
-    }
-    EXPECT_EQ(i, adjacency[v].size()) << "vertex " << v;
-  }
+  auto built = builder.Build();
+  EXPECT_TRUE(built.ok()) << built.status().ToString();
+  return std::move(built).value();
 }
 
-// ------------------------------------------------------ overlay semantics
+/// Applies a single-op or multi-op delta built by `fill`.
+template <typename Fill>
+Status ApplyOps(DynamicGraph* dynamic, Fill fill) {
+  GraphDelta delta;
+  fill(delta);
+  return dynamic->Apply(delta);
+}
+
+// ----------------------------------------------------------- edit batches
 
 TEST(DynamicGraphTest, ComposesAddsAndRemovesInAscendingOrder) {
   DynamicGraph dynamic(MakePath(6));  // 0-1-2-3-4-5
-  ASSERT_TRUE(dynamic.AddEdge(0, 5).ok());
-  ASSERT_TRUE(dynamic.AddEdge(0, 3).ok());
-  ASSERT_TRUE(dynamic.RemoveEdge(0, 1).ok());
-  EXPECT_EQ(dynamic.num_edges(), 6u);
-  EXPECT_EQ(dynamic.degree(0), 2u);
-  EXPECT_TRUE(dynamic.HasEdge(0, 3));
-  EXPECT_TRUE(dynamic.HasEdge(5, 0));
-  EXPECT_FALSE(dynamic.HasEdge(0, 1));
-  std::vector<VertexId> ids;
-  for (const DynamicGraph::Neighbor nb : dynamic.neighbors(0)) {
-    ids.push_back(nb.id);
-    EXPECT_EQ(nb.weight, 1.0);
-  }
-  EXPECT_EQ(ids, (std::vector<VertexId>{3, 5}));
+  ASSERT_TRUE(ApplyOps(&dynamic, [](GraphDelta& d) { d.AddEdge(0, 5); }).ok());
+  ASSERT_TRUE(ApplyOps(&dynamic, [](GraphDelta& d) {
+                d.AddEdge(0, 3).RemoveEdge(0, 1);
+              }).ok());
+  const CsrGraph& csr = dynamic.Csr();
+  EXPECT_EQ(csr.num_edges(), 6u);
+  EXPECT_EQ(csr.degree(0), 2u);
+  EXPECT_TRUE(csr.HasEdge(0, 3));
+  EXPECT_TRUE(csr.HasEdge(5, 0));
+  EXPECT_FALSE(csr.HasEdge(0, 1));
+  EXPECT_FALSE(csr.HasEdge(1, 0));
+  EXPECT_FALSE(csr.weighted());
+  const auto ids = csr.neighbors(0);
+  EXPECT_EQ(std::vector<VertexId>(ids.begin(), ids.end()),
+            (std::vector<VertexId>{3, 5}));
 }
 
 TEST(DynamicGraphTest, AddVertexExtendsIdSpace) {
   DynamicGraph dynamic(MakeCycle(4));
-  const VertexId fresh = dynamic.AddVertex();
-  EXPECT_EQ(fresh, 4u);
-  EXPECT_EQ(dynamic.num_vertices(), 5u);
-  EXPECT_EQ(dynamic.degree(fresh), 0u);
-  ASSERT_TRUE(dynamic.AddEdge(1, fresh).ok());
-  EXPECT_TRUE(dynamic.HasEdge(fresh, 1));
-  EXPECT_EQ(dynamic.degree(fresh), 1u);
-  std::vector<VertexId> ids;
-  for (const DynamicGraph::Neighbor nb : dynamic.neighbors(fresh)) {
-    ids.push_back(nb.id);
-  }
-  EXPECT_EQ(ids, (std::vector<VertexId>{1}));
+  ASSERT_TRUE(
+      ApplyOps(&dynamic, [](GraphDelta& d) { d.AddVertices(1); }).ok());
+  EXPECT_EQ(dynamic.Csr().num_vertices(), 5u);
+  EXPECT_EQ(dynamic.Csr().degree(4), 0u);
+  ASSERT_TRUE(ApplyOps(&dynamic, [](GraphDelta& d) { d.AddEdge(1, 4); }).ok());
+  EXPECT_TRUE(dynamic.Csr().HasEdge(4, 1));
+  const auto ids = dynamic.Csr().neighbors(4);
+  EXPECT_EQ(std::vector<VertexId>(ids.begin(), ids.end()),
+            (std::vector<VertexId>{1}));
 }
 
 TEST(DynamicGraphTest, WeightedRemoveThenReAddKeepsNewWeight) {
@@ -157,42 +181,56 @@ TEST(DynamicGraphTest, WeightedRemoveThenReAddKeepsNewWeight) {
   builder.AddWeightedEdge(0, 1, 2.0);
   builder.AddWeightedEdge(1, 2, 3.0);
   DynamicGraph dynamic(std::move(builder.Build()).value());
-  ASSERT_TRUE(dynamic.RemoveEdge(0, 1).ok());
-  ASSERT_TRUE(dynamic.AddEdge(0, 1, 7.5).ok());
-  EXPECT_TRUE(dynamic.HasEdge(0, 1));
-  EXPECT_EQ(dynamic.EdgeWeight(0, 1), 7.5);
-  EXPECT_EQ(dynamic.EdgeWeight(1, 0), 7.5);
-  // Remove the re-added edge again: the base mask must hold.
-  ASSERT_TRUE(dynamic.RemoveEdge(0, 1).ok());
-  EXPECT_FALSE(dynamic.HasEdge(0, 1));
-  EXPECT_EQ(dynamic.num_edges(), 1u);
+  ASSERT_TRUE(ApplyOps(&dynamic, [](GraphDelta& d) {
+                d.RemoveEdge(0, 1).AddEdge(0, 1, 7.5);
+              }).ok());
+  EXPECT_EQ(dynamic.Csr().EdgeWeight(0, 1), 7.5);
+  EXPECT_EQ(dynamic.Csr().EdgeWeight(1, 0), 7.5);
+  // The removal resolves to the weight the edge had when it went away.
+  GraphDelta remove;
+  remove.RemoveEdge(1, 0);
+  std::vector<GraphEdit> resolved;
+  ASSERT_TRUE(dynamic.Apply(remove, &resolved).ok());
+  ASSERT_EQ(resolved.size(), 1u);
+  EXPECT_EQ(resolved[0].weight, 7.5);
   const CsrGraph& csr = dynamic.Csr();
   EXPECT_EQ(csr.num_edges(), 1u);
   EXPECT_TRUE(csr.weighted());
   EXPECT_EQ(csr.EdgeWeight(1, 2), 3.0);
 }
 
-TEST(DynamicGraphTest, ReAddAtBaseWeightCancelsTheMask) {
-  DynamicGraph dynamic(MakeCycle(5));
-  ASSERT_TRUE(dynamic.RemoveEdge(0, 1).ok());
-  ASSERT_TRUE(dynamic.AddEdge(0, 1).ok());
-  EXPECT_TRUE(dynamic.HasEdge(0, 1));
-  EXPECT_EQ(dynamic.overlay_edits(), 0u);  // net no-op collapsed
-  EXPECT_EQ(dynamic.num_edges(), 5u);
+TEST(DynamicGraphTest, ReAddAtBaseWeightRestoresTheStartGraph) {
+  const CsrGraph start =
+      AssignUniformWeights(MakeCycle(5), 0.5, 2.0, /*seed=*/3);
+  const double w01 = start.EdgeWeight(0, 1);
+  DynamicGraph dynamic(start);
+  // Within one batch (the net no-op merges nothing) ...
+  ASSERT_TRUE(ApplyOps(&dynamic, [&](GraphDelta& d) {
+                d.RemoveEdge(0, 1).AddEdge(1, 0, w01);
+              }).ok());
+  ExpectGraphsIdentical(dynamic.Csr(), start);
+  // ... and across two batches.
+  ASSERT_TRUE(ApplyOps(&dynamic, [](GraphDelta& d) { d.RemoveEdge(0, 1); })
+                  .ok());
+  ASSERT_TRUE(
+      ApplyOps(&dynamic, [&](GraphDelta& d) { d.AddEdge(0, 1, w01); }).ok());
+  ExpectGraphsIdentical(dynamic.Csr(), start);
 }
 
 TEST(DynamicGraphTest, ApplyIsAtomicOnMidBatchFailure) {
-  DynamicGraph dynamic(MakePath(4));
-  const std::uint64_t epoch = dynamic.epoch();
+  const CsrGraph start = MakePath(4);
+  DynamicGraph dynamic(start);
   GraphDelta delta;
   delta.AddEdge(0, 2).RemoveEdge(0, 2).RemoveEdge(0, 2);  // last op invalid
-  const Status status = dynamic.Apply(delta);
+  std::vector<GraphEdit> resolved{GraphEdit{}};
+  const Status status = dynamic.Apply(delta, &resolved);
   EXPECT_FALSE(status.ok());
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
-  EXPECT_EQ(dynamic.epoch(), epoch);
-  EXPECT_EQ(dynamic.num_edges(), 3u);
-  EXPECT_FALSE(dynamic.HasEdge(0, 2));
-  EXPECT_EQ(dynamic.overlay_edits(), 0u);
+  EXPECT_NE(status.message().find("remove {0,2}: no such edge"),
+            std::string::npos)
+      << status.ToString();
+  EXPECT_EQ(resolved.size(), 1u);  // untouched on failure
+  ExpectGraphsIdentical(dynamic.Csr(), start);
 }
 
 TEST(DynamicGraphTest, SequentialValidationAllowsIntraBatchDependencies) {
@@ -200,38 +238,41 @@ TEST(DynamicGraphTest, SequentialValidationAllowsIntraBatchDependencies) {
   GraphDelta delta;
   delta.AddVertices(1).AddEdge(0, 3).RemoveEdge(0, 3).AddEdge(2, 3);
   ASSERT_TRUE(dynamic.Apply(delta).ok());
-  EXPECT_EQ(dynamic.num_vertices(), 4u);
-  EXPECT_TRUE(dynamic.HasEdge(2, 3));
-  EXPECT_FALSE(dynamic.HasEdge(0, 3));
+  EXPECT_EQ(dynamic.Csr().num_vertices(), 4u);
+  EXPECT_TRUE(dynamic.Csr().HasEdge(2, 3));
+  EXPECT_FALSE(dynamic.Csr().HasEdge(0, 3));
 }
 
 TEST(DynamicGraphTest, RejectsInvalidEdits) {
-  DynamicGraph dynamic(MakePath(4));
-  EXPECT_FALSE(dynamic.AddEdge(0, 1).ok());       // duplicate
-  EXPECT_FALSE(dynamic.AddEdge(2, 2).ok());       // self-loop
-  EXPECT_FALSE(dynamic.AddEdge(0, 9).ok());       // out of range
-  EXPECT_FALSE(dynamic.AddEdge(0, 2, -1.0).ok()); // non-positive weight
-  EXPECT_FALSE(dynamic.AddEdge(0, 2, 2.5).ok());  // weighted on unweighted
-  EXPECT_FALSE(dynamic.RemoveEdge(0, 2).ok());    // no such edge
-  EXPECT_FALSE(dynamic.RemoveEdge(0, 9).ok());    // out of range
-  EXPECT_FALSE(dynamic.RemoveEdge(1, 1).ok());    // self-loop
-  EXPECT_EQ(dynamic.num_edges(), 3u);
-  EXPECT_EQ(dynamic.epoch(), 0u);
-}
+  const CsrGraph start = MakePath(4);
+  DynamicGraph dynamic(start);
+  const auto add = [&](VertexId u, VertexId v, double w = 1.0) {
+    return ApplyOps(&dynamic, [&](GraphDelta& d) { d.AddEdge(u, v, w); });
+  };
+  const auto remove = [&](VertexId u, VertexId v) {
+    return ApplyOps(&dynamic, [&](GraphDelta& d) { d.RemoveEdge(u, v); });
+  };
+  EXPECT_FALSE(add(0, 1).ok());        // duplicate
+  EXPECT_FALSE(add(1, 0).ok());        // duplicate, reversed
+  EXPECT_FALSE(add(2, 2).ok());        // self-loop
+  EXPECT_FALSE(add(0, 9).ok());        // out of range
+  EXPECT_FALSE(add(0, 2, -1.0).ok());  // non-positive weight
+  EXPECT_FALSE(add(0, 2, 2.5).ok());   // weighted on unweighted
+  EXPECT_FALSE(remove(0, 2).ok());     // no such edge
+  EXPECT_FALSE(remove(0, 9).ok());     // out of range
+  EXPECT_FALSE(remove(1, 1).ok());     // self-loop
+  ExpectGraphsIdentical(dynamic.Csr(), start);
 
-TEST(DynamicGraphTest, CompactsPastTheOverlayThreshold) {
-  DynamicGraphOptions options;
-  options.min_compact_edits = 4;
-  options.compact_fraction = 0.0;
-  DynamicGraph dynamic(MakePath(10), options);
-  ASSERT_TRUE(dynamic.AddEdge(0, 9).ok());  // 2 overlay entries
-  ASSERT_TRUE(dynamic.AddEdge(0, 5).ok());  // 4 — at, not past, threshold
-  EXPECT_EQ(dynamic.overlay_edits(), 4u);
-  ASSERT_TRUE(dynamic.AddEdge(2, 7).ok());  // 6 > 4: auto-compacted
-  EXPECT_EQ(dynamic.overlay_edits(), 0u);
-  EXPECT_EQ(dynamic.base().num_edges(), 12u);
-  EXPECT_TRUE(dynamic.HasEdge(0, 9));
-  EXPECT_TRUE(dynamic.HasEdge(2, 7));
+  const CsrGraph weighted_start =
+      AssignUniformWeights(MakePath(4), 0.5, 2.0, /*seed=*/1);
+  DynamicGraph weighted(weighted_start);
+  for (const double bad : {std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::quiet_NaN(), 0.0}) {
+    const Status status =
+        ApplyOps(&weighted, [&](GraphDelta& d) { d.AddEdge(0, 2, bad); });
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << bad;
+  }
+  ExpectGraphsIdentical(weighted.Csr(), weighted_start);
 }
 
 TEST(DynamicGraphTest, CsrMatcherScratchRebuildAfterMixedEdits) {
@@ -243,7 +284,6 @@ TEST(DynamicGraphTest, CsrMatcherScratchRebuildAfterMixedEdits) {
       .AddEdge(3, 24);
   model.Apply(delta);
   ASSERT_TRUE(dynamic.Apply(delta).ok());
-  ExpectMatchesModel(dynamic, model);
   ExpectGraphsIdentical(dynamic.Csr(), model.Build());
   EXPECT_EQ(dynamic.Csr().name(), start.name());
 }
@@ -278,6 +318,8 @@ TEST(EditScriptTest, RejectsMalformedLinesWithLineNumbers) {
       "add 1",                // missing operand
       "add -1 2",             // negative id
       "add 1 2 0",            // non-positive weight
+      "add 1 2 1e999",        // weight overflows to inf
+      "add 1 2 2.5x",         // weight with trailing junk
       "add 1 2 1.0 extra",    // trailing junk
       "remove 1 2 3",         // trailing junk
       "addvertex 0",          // zero count
@@ -297,8 +339,7 @@ TEST(EditScriptTest, FileRoundTripsAndMissingFileIsIoError) {
       (fs::temp_directory_path() / "mhbc_edit_script_test.edits").string();
   GraphDelta delta;
   // The last weight needs all 17 significant digits to round-trip: the
-  // writer must emit full double precision (Apply's re-add cancel test
-  // compares weights exactly).
+  // writer must emit full double precision.
   delta.AddEdge(3, 4).RemoveEdge(1, 2).AddVertices(2).AddEdge(5, 6, 2.5)
       .AddEdge(7, 8, 0.6123456789012345);
   ASSERT_TRUE(WriteEditScript(delta, path).ok());
@@ -577,29 +618,121 @@ TEST(DynamicEquivalenceTest, WeightedGraphMatchesColdAfterEdits) {
   }
 }
 
-// Structural-only sweep at higher volume: every random script leaves the
-// DynamicGraph composition, its materialized CSR, and a scratch rebuild in
-// exact agreement (60 more scripts across three generator families).
+// Structural-only sweep at higher volume: every random script leaves
+// Csr() and a scratch rebuild in exact agreement (60 more scripts across
+// three generator families).
 TEST(DynamicEquivalenceTest, RandomScriptsKeepCompositionExact) {
   const CsrGraph starts[] = {MakeBarabasiAlbert(60, 2, 0x5EED),
                              MakeGrid(7, 8), MakeWattsStrogatz(50, 4, 0.2, 9)};
   int script_seed = 0;
   for (const CsrGraph& start : starts) {
     Model model = Model::FromGraph(start);
-    DynamicGraphOptions options;
-    options.min_compact_edits = 24;  // force frequent compaction cycles
-    DynamicGraph dynamic(start, options);
+    DynamicGraph dynamic(start);
     for (int script = 0; script < 20; ++script) {
-      // Generate against the model's scratch build so the overlay is NOT
-      // forced to compact between scripts (Csr() would).
       const GraphDelta delta =
-          MakeRandomEditScript(model.Build(), 6, 0xC0FFEE + script_seed++);
+          MakeRandomEditScript(dynamic.Csr(), 6, 0xC0FFEE + script_seed++);
       model.Apply(delta);
       ASSERT_TRUE(dynamic.Apply(delta).ok());
-      ExpectMatchesModel(dynamic, model);
+      ExpectGraphsIdentical(dynamic.Csr(), model.Build());
     }
-    ExpectGraphsIdentical(dynamic.Csr(), model.Build());
   }
+}
+
+// Differential fuzz of the edit-script path: valid random scripts are
+// written to text, damaged by seeded byte flips, truncations, line swaps
+// and repeated lines, then parsed and applied to both DynamicGraph and the Model. The
+// two must agree on whether the batch is valid; a valid one must produce
+// the model's graph, and a rejected one must leave Csr() as it was.
+std::string ScriptText(const GraphDelta& delta) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "mhbc_edit_script_fuzz.edits")
+          .string();
+  EXPECT_TRUE(WriteEditScript(delta, path).ok());
+  std::ifstream in(path);
+  std::ostringstream text;
+  text << in.rdbuf();
+  std::remove(path.c_str());
+  return text.str();
+}
+
+void Damage(std::string* text, Rng* rng) {
+  // Bytes a valid script is made of, so many flips still parse.
+  static constexpr char kAlphabet[] = "0123456789 .e-+\n#adremovtx";
+  const std::uint64_t mutations = rng->NextBounded(4);
+  for (std::uint64_t m = 0; m < mutations && !text->empty(); ++m) {
+    switch (rng->NextBounded(4)) {
+      case 0: {  // byte flip
+        const std::size_t at = rng->NextBounded(text->size());
+        (*text)[at] = rng->NextBernoulli(0.8)
+                          ? kAlphabet[rng->NextBounded(sizeof(kAlphabet) - 1)]
+                          : static_cast<char>(rng->NextBounded(256));
+        break;
+      }
+      case 1:  // truncation
+        text->resize(rng->NextBounded(text->size()));
+        break;
+      default: {  // swap two lines, or repeat one (a semantic error)
+        std::vector<std::string> lines;
+        std::istringstream in(*text);
+        for (std::string line; std::getline(in, line);) lines.push_back(line);
+        if (lines.empty()) break;
+        const std::size_t a = rng->NextBounded(lines.size());
+        const std::size_t b = rng->NextBounded(lines.size());
+        if (rng->NextBernoulli(0.5)) {
+          std::swap(lines[a], lines[b]);
+        } else {
+          lines.insert(lines.begin() + static_cast<std::ptrdiff_t>(b),
+                       lines[a]);
+        }
+        text->clear();
+        for (const std::string& line : lines) *text += line + "\n";
+        break;
+      }
+    }
+  }
+}
+
+TEST(EditScriptFuzzTest, DamagedScriptsMatchTheModelOrBothReject) {
+  const CsrGraph starts[] = {
+      MakeBarabasiAlbert(60, 2, 0xF1),
+      AssignUniformWeights(MakeGrid(7, 8), 0.5, 2.0, 0xF2),
+      Orient(MakeBarabasiAlbert(50, 2, 0xF3), 0xF4)};
+  Rng rng(0xF0F0);
+  std::size_t applied = 0, rejected = 0, unparsable = 0;
+  for (const CsrGraph& start : starts) {
+    Model model = Model::FromGraph(start);
+    DynamicGraph dynamic(start);
+    for (int round = 0; round < 200; ++round) {
+      const GraphDelta valid = MakeRandomEditScript(
+          dynamic.Csr(), 1 + rng.NextBounded(8), rng.NextU64());
+      std::string text = ScriptText(valid);
+      Damage(&text, &rng);
+      const auto parsed = ParseEditScriptText(text, "fuzz");
+      if (!parsed.ok()) {
+        EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+        EXPECT_EQ(parsed.status().message().rfind("fuzz:", 0), 0u)
+            << parsed.status().ToString();
+        ++unparsable;
+        continue;
+      }
+      const CsrGraph before = dynamic.Csr();
+      const bool model_ok = model.TryApply(parsed.value());
+      const Status status = dynamic.Apply(parsed.value());
+      ASSERT_EQ(status.ok(), model_ok) << status.ToString() << "\n" << text;
+      if (status.ok()) {
+        ++applied;
+        ExpectGraphsIdentical(dynamic.Csr(), model.Build());
+      } else {
+        ++rejected;
+        EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+        ExpectGraphsIdentical(dynamic.Csr(), before);
+      }
+    }
+  }
+  // The damage rates keep every outcome well represented.
+  EXPECT_GT(applied, 100u);
+  EXPECT_GT(rejected, 40u);
+  EXPECT_GT(unparsable, 100u);
 }
 
 TEST(DynamicEquivalenceTest, ApplyDeltaFailureLeavesEngineUsable) {

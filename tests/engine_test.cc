@@ -82,6 +82,23 @@ TEST(EngineTest, SecondVertexCostsFewerPassesThanFreshEngines) {
   }
 }
 
+TEST(EngineTest, ShardMemoFloorHoldsOneWholeEntry) {
+  // A budget of two bare dependency vectors splits to one per shard, which
+  // is less than one entry once the pass distances ride along. The shard
+  // floor must still leave every shard one usable entry.
+  const CsrGraph graph = MakeBarabasiAlbert(40, 2, 3);
+  EngineOptions options;
+  options.num_threads = 2;
+  options.dependency_cache_bytes = 2 * sizeof(double) * graph.num_vertices();
+  BetweennessEngine engine(graph, options);
+  EstimateRequest request;
+  request.kind = EstimatorKind::kUniformSource;
+  request.samples = 400;
+  const auto reports = engine.EstimateMany({1, 2}, request);
+  ASSERT_TRUE(reports.ok()) << reports.status().ToString();
+  EXPECT_GT(engine.dependency_cache_hits(), 0u);
+}
+
 TEST(EngineTest, RepeatedQueryIsServedFromCaches) {
   const CsrGraph g = MakeConnectedCaveman(5, 8);
   BetweennessEngine engine(g);

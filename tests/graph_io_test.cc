@@ -73,6 +73,18 @@ TEST(GraphIoTest, RejectsNonPositiveWeight) {
   EXPECT_FALSE(ParseString("1 2 -3\n", options).ok());
 }
 
+TEST(GraphIoTest, RejectsMalformedWeightColumn) {
+  EdgeListOptions options;
+  options.allow_weights = true;
+  for (const char* line : {"0 1 abc\n", "0 1 1e999\n", "0 1 2.5x\n"}) {
+    const auto result = ParseString(std::string("0 2 1.5\n") + line, options);
+    ASSERT_FALSE(result.ok()) << "accepted: " << line;
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(result.status().message().find("line 2"), std::string::npos)
+        << result.status().ToString();
+  }
+}
+
 TEST(GraphIoTest, EmptyInputIsError) {
   EXPECT_FALSE(ParseString("").ok());
   EXPECT_FALSE(ParseString("# only comments\n").ok());

@@ -207,12 +207,12 @@ TEST(ServeConcurrencyTest, WriterDrainsReadersAndReadersNeverSeeTornPool) {
   std::vector<VertexId> vertices_at_epoch;
   {
     DynamicGraph dyn(base.value());
-    vertices_at_epoch.push_back(dyn.num_vertices());
+    vertices_at_epoch.push_back(dyn.Csr().num_vertices());
     for (std::size_t i = 0; i < 6; ++i) {
       const GraphDelta delta = MakeRandomEditScript(dyn.Csr(), 4, 0xbeef + i);
       ASSERT_TRUE(dyn.Apply(delta).ok());
       deltas.push_back(delta);
-      vertices_at_epoch.push_back(dyn.num_vertices());
+      vertices_at_epoch.push_back(dyn.Csr().num_vertices());
     }
   }
   GraphEntry entry("g", base.value(), EngineOptions(), /*sessions=*/3);
