@@ -32,13 +32,16 @@
 //   --workers=<k>         executor threads (default 2)
 //   --queue=<k>           admission queue capacity; a full queue rejects
 //                         with the `overload` error class (default 64)
-//   --threads=<k>         EngineOptions::num_threads per session (default 1;
-//                         bit-identical results at every setting)
+//   --threads=<k>         EngineOptions::num_threads per session: the
+//                         source-parallel axis only (exact builds, RK
+//                         batches, multi-vertex fan-out); it never widens
+//                         a pass (default 1; bit-identical results at
+//                         every setting)
 //   --spd-threads=<k>     frontier-/wave-parallel threads within each
 //                         shortest-path pass (SpdOptions::num_threads;
-//                         0 = inherit --threads, default 0 — same
-//                         bit-identical contract; use when single-query
-//                         latency matters more than request throughput)
+//                         default 1, sequential — same bit-identical
+//                         contract; use when single-query latency on a
+//                         large graph matters more than CPU per request)
 //   --max-line-bytes=<b>  request framing limit (default 1 MiB)
 //
 // Exit codes: 0 success (stdio EOF), 2 usage error, 3 I/O error (graph
@@ -83,7 +86,7 @@ struct ServeFlags {
   std::uint64_t port = 7077;
   std::uint64_t sessions = 2;
   std::uint64_t threads = 1;
-  std::uint64_t spd_threads = 0;
+  std::uint64_t spd_threads = 1;
   mhbc::serve::ServerOptions server;
   std::vector<std::string> datasets;
   /// --graph=<name>=<file> pairs.

@@ -34,14 +34,16 @@
 // first.
 //
 // Global flags (anywhere on the command line):
-//   --threads=<k>    engine worker threads (0 = one per hardware thread,
-//                    default 1). Values are bit-identical at any setting —
-//                    threads change wall-clock, never results.
+//   --threads=<k>    engine worker threads for the source-parallel axis
+//                    (exact builds, RK batches, multi-vertex fan-out);
+//                    0 = one per hardware thread, default 1. It never
+//                    widens a pass. Values are bit-identical at any
+//                    setting — threads change wall-clock, never results.
 //   --spd-threads=<k> frontier-parallel (unweighted) or wave-parallel
 //                    (weighted) threads *within* each shortest-path pass
-//                    (SpdOptions::num_threads; 0 = inherit --threads,
-//                    default 0). Same contract: bit-identical results at
-//                    every setting; use for single-vertex queries on large
+//                    (SpdOptions::num_threads; default 1, sequential).
+//                    Same contract: bit-identical results at every
+//                    setting; use for single-vertex queries on large
 //                    graphs where the source axis has no parallelism.
 //   --json           machine-readable output: tables render as
 //                    {"columns": ..., "rows": ...}, estimates as full
@@ -96,7 +98,7 @@ using mhbc::VertexId;
 /// Global flags, stripped from argv before command dispatch.
 struct ToolFlags {
   unsigned threads = 1;
-  unsigned spd_threads = 0;  // --spd-threads= intra-pass width (0 = inherit)
+  unsigned spd_threads = 1;  // --spd-threads= intra-pass width
   bool json = false;
   bool directed = false;  // --directed: ingest text formats as directed
   std::string graph;      // --graph= default graph file

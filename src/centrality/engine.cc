@@ -144,7 +144,7 @@ std::size_t BetweennessEngine::DependencyCacheEntries(
 
 DependencyOracle* BetweennessEngine::oracle() {
   if (!oracle_) {
-    oracle_ = std::make_unique<DependencyOracle>(*graph_, IntraPassSpd());
+    oracle_ = std::make_unique<DependencyOracle>(*graph_, options_.spd);
     oracle_->set_cache_capacity(DependencyCacheEntries(*graph_));
   }
   return oracle_.get();
@@ -178,7 +178,7 @@ DistanceProportionalSampler* BetweennessEngine::distance_sampler() {
 
 RkSampler* BetweennessEngine::rk_sampler() {
   if (!rk_) {
-    rk_ = std::make_unique<RkSampler>(*graph_, /*seed=*/0, IntraPassSpd());
+    rk_ = std::make_unique<RkSampler>(*graph_, /*seed=*/0, options_.spd);
   }
   return rk_.get();
 }
@@ -186,21 +186,13 @@ RkSampler* BetweennessEngine::rk_sampler() {
 GeisbergerSampler* BetweennessEngine::geisberger_sampler() {
   if (!geisberger_) {
     geisberger_ = std::make_unique<GeisbergerSampler>(*graph_, /*seed=*/0,
-                                                      IntraPassSpd());
+                                                      options_.spd);
   }
   return geisberger_.get();
 }
 
 unsigned BetweennessEngine::resolved_threads() const {
   return ResolveThreadCount(options_.num_threads);
-}
-
-SpdOptions BetweennessEngine::IntraPassSpd() const {
-  SpdOptions spd = options_.spd;
-  // 0 = inherit: the engine's serial-path pass engines get the full thread
-  // budget for frontier-parallel level steps. Explicit values pass through.
-  if (spd.num_threads == 0) spd.num_threads = resolved_threads();
-  return spd;
 }
 
 ThreadPool* BetweennessEngine::pool() {
@@ -319,8 +311,8 @@ const BetweennessEngine::RkCredit& BetweennessEngine::EnsureRkCredit(
               // With a parallel pool the batches are the parallel axis, so
               // per-worker samplers run sequential passes (intra-pass
               // threads would oversubscribe); a 1-wide pool runs batches
-              // inline and the passes keep the intra-pass budget.
-              SpdOptions batch_spd = IntraPassSpd();
+              // inline and the passes keep any explicit intra-pass width.
+              SpdOptions batch_spd = options_.spd;
               if (pool()->num_threads() > 1) batch_spd.num_threads = 1;
               sampler = std::make_unique<RkSampler>(*graph_, /*seed=*/0,
                                                     batch_spd);

@@ -70,25 +70,19 @@
 /// kDeadline budgets (wall-clock stop rules are nondeterministic even
 /// sequentially). Chain-driven calls (EstimateRelative / RankTargets) stay
 /// sequential by design: a Markov chain is one serial dependency, and
-/// splitting it would change the estimator — but their *passes* do
-/// parallelize: with EngineOptions::spd.num_threads inherited (0), the
-/// engine's own pass engines run frontier-parallel level steps inside each
-/// BFS pass (sp/bfs_spd.h); the dependency sweep after it is sequential.
-/// That is what lets single-query Estimate / EstimateRelative latency
-/// scale with cores.
+/// splitting it would change the estimator.
 ///
-/// Pool-splitting policy. Query-level sharding and intra-pass parallelism
-/// split one thread budget instead of multiplying: EstimateMany /
-/// EstimateBatch fan out across engine shards only when the query count
-/// can occupy the pool (count >= resolved threads, shards run fully
-/// sequential passes); smaller batches are served sequentially on the
-/// owning engine, whose passes then use the whole pool internally
-/// (sequential-across-sources × parallel-within-pass). The exact-score
-/// build (BrandesBetweenness) and the RK credit batches likewise force
-/// per-worker passes sequential while their own fan-out is the parallel
-/// axis. Every choice on this policy surface is bit-neutral: both serving
-/// shapes and every spd.num_threads value produce identical statistical
-/// fields.
+/// Pool-splitting policy: one thread budget, one parallel axis per call.
+/// num_threads is the source-parallel axis only (the exact Brandes build,
+/// RK credit batches, and EstimateMany / EstimateBatch, which shard only
+/// when the query count reaches the pool width). It never widens a pass:
+/// a frontier-parallel pass costs about twice the CPU of a sequential one
+/// and wins wall time only on large graphs, so serial-path passes run at
+/// spd.num_threads (default 1) and intra-pass threads are an explicit
+/// latency knob. Fan-out workers (shards, Brandes, RK batches on a pool
+/// wider than 1) force their passes sequential so the axes never
+/// multiply. Every choice here is bit-neutral: both serving shapes and
+/// every spd.num_threads value produce identical statistical fields.
 ///
 /// External thread-compatibility is unchanged: concurrent calls into ONE
 /// engine still require external synchronization (queries mutate shared
@@ -212,12 +206,11 @@ struct EngineOptions {
   unsigned num_threads = 1;
   /// Shortest-path kernel tuning — BFS direction switching unweighted, canonical-wave delta-stepping bucket width
   /// weighted — applied to every pass the engine (and its shards,
-  /// samplers, and exact builds) runs. spd.num_threads == 0 (the default)
-  /// inherits
-  /// num_threads for the engine's serial-path pass engines, giving
-  /// single-query calls frontier-parallel passes; fan-out paths force
-  /// per-worker passes sequential (pool-splitting — see the file comment).
-  /// Off the determinism key: all settings produce bit-identical reports.
+  /// samplers, and exact builds) runs. spd.num_threads is the width of
+  /// one pass on the serial path (default 1, sequential) and never follows
+  /// num_threads; fan-out paths force per-worker passes sequential
+  /// (pool-splitting — see the file comment). Off the determinism key: all
+  /// settings produce bit-identical reports.
   SpdOptions spd;
 };
 
@@ -344,14 +337,6 @@ class BetweennessEngine {
 
   /// options_.num_threads resolved (0 -> hardware concurrency).
   unsigned resolved_threads() const;
-  /// options_.spd with num_threads == 0 (inherit) resolved to the engine's
-  /// thread budget — the SpdOptions the engine's own serial-path pass
-  /// engines (oracle, RK/Geisberger samplers) are built with, so
-  /// single-query latency scales with the pool via frontier-parallel
-  /// passes. Fan-out paths instead force per-worker spd.num_threads to 1
-  /// (see the pool-splitting policy in the file comment). An explicit
-  /// options_.spd.num_threads is passed through untouched.
-  SpdOptions IntraPassSpd() const;
   /// Lazily-built worker pool (resolved_threads() wide).
   ThreadPool* pool();
   /// Lazily builds one sequential engine shard per pool worker.

@@ -68,6 +68,7 @@ StatusOr<GraphDelta> ParseEditScriptText(const std::string& text,
   std::istringstream in(text);
   std::string raw;
   int line_no = 0;
+  long long added_vertices = 0;
   while (std::getline(in, raw)) {
     ++line_no;
     const std::string line = CleanLine(raw);
@@ -108,6 +109,11 @@ StatusOr<GraphDelta> ParseEditScriptText(const std::string& text,
       }
       if (count < 1 || count > static_cast<long long>(kInvalidVertex)) {
         return fail("addvertex count out of range");
+      }
+      added_vertices += count;
+      if (added_vertices > kMaxScriptAddedVertices) {
+        return fail("script adds more than " +
+                    std::to_string(kMaxScriptAddedVertices) + " vertices");
       }
       if (tokens >> trailing) return fail("trailing input '" + trailing + "'");
       delta.AddVertices(static_cast<std::uint32_t>(count));

@@ -74,9 +74,16 @@ class GraphDelta {
   std::vector<GraphEdit> edits_;
 };
 
+/// Most vertices one parsed edit script may append, summed over its
+/// `addvertex` lines. GraphDelta stores one edit per appended vertex, so
+/// without a cap a single short line could ask for gigabytes before Apply
+/// ever runs.
+inline constexpr std::uint32_t kMaxScriptAddedVertices = 1u << 20;
+
 /// Parses the text edit-script format (docs/formats.md):
 ///   add <u> <v> [w]   |   remove <u> <v>   |   addvertex [count]
-/// plus blank lines and '#' comments. Errors name the offending line.
+/// plus blank lines and '#' comments. Errors name the offending line; a
+/// script appending more than kMaxScriptAddedVertices vertices is rejected.
 StatusOr<GraphDelta> ParseEditScript(const std::string& path);
 
 /// ParseEditScript over in-memory text; `where` labels error messages.

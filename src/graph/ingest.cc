@@ -294,15 +294,17 @@ StatusOr<CsrGraph> LoadMatrixMarket(const std::string& path, bool directed) {
     }
     double value = 1.0;
     if (!pattern) {
-      if (!(fields >> value)) {
+      std::string token;
+      if (!(fields >> token)) {
         return Status::InvalidArgument("'" + path + "' line " +
                                        std::to_string(line_no) +
                                        ": missing matrix value");
       }
-      if (!(value > 0.0)) {
+      if (!ParseEdgeWeight(token, &value)) {
         return Status::InvalidArgument(
             "'" + path + "' line " + std::to_string(line_no) +
-            ": edge weight must be positive, got " + std::to_string(value));
+            ": edge weight must be a finite positive number, got '" + token +
+            "'");
       }
     }
     builder.AddWeightedEdge(static_cast<VertexId>(i - 1),

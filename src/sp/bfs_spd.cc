@@ -17,11 +17,10 @@ BfsSpd::BfsSpd(const CsrGraph& graph, SpdOptions options)
   dag_.weighted = false;
   frontier_.reserve(n);
   next_.reserve(n);
-  // num_threads == 0 means "inherit": standalone construction has nothing
-  // to inherit from, so it stays sequential; an owning engine substitutes
-  // its resolved count before constructing us (see BetweennessEngine).
-  const unsigned intra = options_.num_threads == 0 ? 1 : options_.num_threads;
-  if (intra > 1) pool_ = std::make_unique<ThreadPool>(intra);
+  // num_threads 0 and 1 both run sequential passes.
+  if (options_.num_threads > 1) {
+    pool_ = std::make_unique<ThreadPool>(options_.num_threads);
+  }
 }
 
 BfsSpd::~BfsSpd() = default;

@@ -57,11 +57,10 @@ DeltaSpd::DeltaSpd(const CsrGraph& graph, SpdOptions options)
                       ? 1.0
                       : weight_sum / static_cast<double>(weights.size());
 
-  // num_threads == 0 means "inherit": standalone construction has nothing
-  // to inherit from, so it stays sequential; an owning engine substitutes
-  // its resolved count before constructing us (see BetweennessEngine).
-  const unsigned intra = options_.num_threads == 0 ? 1 : options_.num_threads;
-  if (intra > 1) pool_ = std::make_unique<ThreadPool>(intra);
+  // num_threads 0 and 1 both run sequential passes.
+  if (options_.num_threads > 1) {
+    pool_ = std::make_unique<ThreadPool>(options_.num_threads);
+  }
 }
 
 DeltaSpd::~DeltaSpd() = default;

@@ -141,7 +141,7 @@ class DeltaSpd {
   const Stats& total_stats() const { return total_stats_; }
 
   /// The engine's intra-pass worker pool; null when the pass is sequential
-  /// (SpdOptions::num_threads resolved to 1). Tests and probes use it to
+  /// (SpdOptions::num_threads <= 1). Tests and probes use it to
   /// tell a sequential engine from a parallel one.
   ThreadPool* intra_pool() const { return pool_.get(); }
 

@@ -30,14 +30,13 @@ inline constexpr double kDefaultTieEpsilon = 1e-12;
 /// tie_epsilon is an *accuracy* knob (it defines which weighted paths
 /// count as shortest) and therefore part of the determinism key.
 struct SpdOptions {
-  /// Intra-pass parallelism: number of threads one SPD pass may use for
+  /// Intra-pass parallelism: the number of threads one SPD pass uses for
   /// frontier-parallel level steps (the dependency sweep is sequential).
-  /// 0 means "inherit": an owning BetweennessEngine substitutes its own
-  /// resolved thread count where intra-pass parallelism should win (serial
-  /// single-query paths), while standalone construction of BfsSpd /
-  /// ExactBetweenness treats 0 as 1 (fully sequential — the historical
-  /// behavior). Results are bit-identical at every value.
-  unsigned num_threads = 0;
+  /// 0 and 1 both mean a sequential pass. A wider pass costs more CPU and
+  /// wins wall time only on large graphs, so it is an explicit latency
+  /// knob; no engine widens it on its own. Results are bit-identical at
+  /// every value.
+  unsigned num_threads = 1;
   /// Minimum per-level work of a pass (examined edges of a BFS level or a
   /// DeltaSpd wave) before the level fans out across threads; smaller
   /// levels run the sequential step, whose output is identical.

@@ -323,6 +323,8 @@ TEST(EditScriptTest, RejectsMalformedLinesWithLineNumbers) {
       "add 1 2 1.0 extra",    // trailing junk
       "remove 1 2 3",         // trailing junk
       "addvertex 0",          // zero count
+      "addvertex 4294967295", // count beyond the id space
+      "addvertex 1048577",    // one past kMaxScriptAddedVertices
   };
   for (const char* line : bad) {
     const auto delta = ParseEditScriptText(line, "bad");
@@ -331,6 +333,22 @@ TEST(EditScriptTest, RejectsMalformedLinesWithLineNumbers) {
     EXPECT_NE(delta.status().message().find("bad:1"), std::string::npos)
         << delta.status().ToString();
   }
+}
+
+TEST(EditScriptTest, CapsVerticesAddedPerScript) {
+  const auto at_cap = ParseEditScriptText(
+      "addvertex " + std::to_string(kMaxScriptAddedVertices), "cap");
+  ASSERT_TRUE(at_cap.ok()) << at_cap.status().ToString();
+  EXPECT_EQ(at_cap.value().size(), kMaxScriptAddedVertices);
+  // The cap is per script: the line that crosses it is the one named.
+  const auto over = ParseEditScriptText(
+      "addvertex " + std::to_string(kMaxScriptAddedVertices - 1) +
+          "\naddvertex\naddvertex\n",
+      "cap");
+  ASSERT_FALSE(over.ok());
+  EXPECT_EQ(over.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(over.status().message().find("cap:3"), std::string::npos)
+      << over.status().ToString();
 }
 
 TEST(EditScriptTest, FileRoundTripsAndMissingFileIsIoError) {

@@ -152,6 +152,19 @@ TEST_F(IngestTest, MatrixMarketRejectsMalformedInput) {
   std::ofstream(complex_field)
       << "%%MatrixMarket matrix coordinate complex general\n3 3 1\n1 2 1 0\n";
   EXPECT_FALSE(LoadMatrixMarket(complex_field).ok());
+
+  // A real value must parse completely to a finite positive double.
+  for (const char* value : {"2.5x", "abc", "1e999"}) {
+    const std::string bad_value = Path("badvalue.mtx");
+    std::ofstream(bad_value)
+        << "%%MatrixMarket matrix coordinate real general\n3 3 2\n"
+        << "1 2 1.5\n2 3 " << value << "\n";
+    auto loaded = LoadMatrixMarket(bad_value);
+    ASSERT_FALSE(loaded.ok()) << "accepted value " << value;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(loaded.status().message().find("line 4"), std::string::npos)
+        << loaded.status().ToString();
+  }
 }
 
 TEST_F(IngestTest, CacheDirServesSnapshotOnSecondOpen) {

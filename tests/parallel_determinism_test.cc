@@ -280,12 +280,52 @@ TEST(ParallelEngineTest, IntraPassThreadsInvariantForSerialQueries) {
   }
 }
 
-TEST(ParallelEngineTest, IntraPassInheritsEnginePoolForSingleQueries) {
-  // spd.num_threads == 0 (default) inherits the engine pool width for
-  // serial-path queries; the composition must stay bit-neutral, including
-  // for EstimateMany fan-outs where shards force passes sequential.
+TEST(ParallelEngineTest, DefaultEngineRunsSequentialPassesAtEveryWidth) {
+  // num_threads is the source-parallel axis only: a default engine's passes
+  // are sequential at every pool width, and its reports match 1 thread.
+  EXPECT_EQ(EngineOptions{}.spd.num_threads, 1u);
+  EXPECT_EQ(SpdOptions{}.num_threads, 1u);
   const CsrGraph g = MakeConnectedCaveman(6, 10);
   const std::vector<VertexId> vertices{9, 19, 29, 39, 49, 59, 3, 14};
+  for (EstimatorKind kind :
+       {EstimatorKind::kMetropolisHastings, EstimatorKind::kShortestPath}) {
+    EstimateRequest request;
+    request.kind = kind;
+    request.samples = 300;
+    request.seed = 0xDE7;
+    const std::vector<EstimateReport> baseline =
+        ManyAtThreads(g, 1, request, vertices);
+    BetweennessEngine serial_engine(g, EngineOptions{});
+    const auto serial = serial_engine.Estimate(19, request);
+    ASSERT_TRUE(serial.ok());
+    for (unsigned threads : kThreadCounts) {
+      EngineOptions options;
+      options.num_threads = threads;
+      BetweennessEngine engine(g, options);
+      EXPECT_EQ(engine.options().spd.num_threads, 1u);
+      const std::string label = std::string(EstimatorKindName(kind)) + " @" +
+                                std::to_string(threads);
+      const auto single = engine.Estimate(19, request);
+      ASSERT_TRUE(single.ok());
+      ExpectSameStatistics(single.value(), serial.value(), "single " + label);
+      // A fresh default engine: an RK credit vector cached by the single
+      // query would serve the fan-out without its per-batch spread.
+      const std::vector<EstimateReport> many =
+          ManyAtThreads(g, threads, request, vertices);
+      for (std::size_t i = 0; i < vertices.size(); ++i) {
+        ExpectSameStatistics(many[i], baseline[i], "many " + label);
+      }
+    }
+  }
+}
+
+TEST(ParallelEngineTest, ExplicitIntraPassWidthStaysBitIdentical) {
+  // An explicit spd.num_threads runs frontier-parallel passes on the serial
+  // path (single queries, and fan-outs too small to shard) and is forced
+  // sequential inside shards; every composition must stay bit-neutral.
+  const CsrGraph g = MakeConnectedCaveman(6, 10);
+  const std::vector<VertexId> vertices{9, 19, 29, 39, 49, 59, 3, 14};
+  const std::vector<VertexId> pair{9, 19};
   EstimateRequest request;
   request.kind = EstimatorKind::kMetropolisHastings;
   request.samples = 300;
@@ -293,22 +333,28 @@ TEST(ParallelEngineTest, IntraPassInheritsEnginePoolForSingleQueries) {
   const std::vector<EstimateReport> baseline =
       ManyAtThreads(g, 1, request, vertices);
   for (unsigned threads : kThreadCounts) {
-    EngineOptions options;
-    options.num_threads = threads;  // spd.num_threads stays 0 = inherit
-    options.spd.parallel_grain = 0;
-    BetweennessEngine engine(g, options);
-    // Single query: runs on the serial path with intra-pass parallelism.
-    const auto single = engine.Estimate(19, request);
-    ASSERT_TRUE(single.ok());
-    ExpectSameStatistics(single.value(), baseline[1],
-                         "inherited intra @" + std::to_string(threads));
-    // Fan-out: fewer queries than threads stays serial-across-sources but
-    // intra-parallel; at or above the width it shards with serial passes.
-    auto many = engine.EstimateMany(vertices, request);
-    ASSERT_TRUE(many.ok());
-    for (std::size_t i = 0; i < vertices.size(); ++i) {
-      ExpectSameStatistics(many.value()[i], baseline[i],
-                           "inherited many @" + std::to_string(threads));
+    for (unsigned intra : kThreadCounts) {
+      EngineOptions options;
+      options.num_threads = threads;
+      options.spd.num_threads = intra;
+      options.spd.parallel_grain = 0;
+      BetweennessEngine engine(g, options);
+      const std::string label = std::to_string(threads) + " threads x " +
+                                std::to_string(intra) + " intra";
+      const auto single = engine.Estimate(19, request);
+      ASSERT_TRUE(single.ok());
+      ExpectSameStatistics(single.value(), baseline[1], "single " + label);
+      // Two queries never occupy a 4-wide pool: served on the serial path.
+      auto few = engine.EstimateMany(pair, request);
+      ASSERT_TRUE(few.ok());
+      for (std::size_t i = 0; i < pair.size(); ++i) {
+        ExpectSameStatistics(few.value()[i], baseline[i], "few " + label);
+      }
+      auto many = engine.EstimateMany(vertices, request);
+      ASSERT_TRUE(many.ok());
+      for (std::size_t i = 0; i < vertices.size(); ++i) {
+        ExpectSameStatistics(many.value()[i], baseline[i], "many " + label);
+      }
     }
   }
 }

@@ -184,6 +184,24 @@ TEST_F(ServeProtocolTest, MutateValidationIsFieldClass) {
   ExpectStillServing();
 }
 
+TEST_F(ServeProtocolTest, MutateAddingTooManyVerticesIsRejectedUpFront) {
+  // One short line must not make the daemon allocate an edit per requested
+  // vertex: both counts exceed kMaxScriptAddedVertices and fail at parse.
+  for (const char* line :
+       {R"({"method": "mutate", "graph": "caveman-36", "edits": "addvertex 4294967295"})",
+        R"({"method": "mutate", "graph": "caveman-36", "edits": "addvertex 1048577"})"}) {
+    const ServeResponse response = ExpectError(line, ServeErrorClass::kField);
+    EXPECT_NE(response.message.find("mutate request:1"), std::string::npos)
+        << response.message;
+  }
+  const auto estimate = ParseServeResponse(server_->Call(
+      R"({"method": "estimate", "graph": "caveman-36", "vertices": [0], "samples": 50})"));
+  ASSERT_TRUE(estimate.ok());
+  EXPECT_TRUE(estimate.value().ok);
+  EXPECT_EQ(estimate.value().epoch, 0u);
+  ASSERT_EQ(estimate.value().reports.size(), 1u);
+}
+
 TEST_F(ServeProtocolTest, JsonDoubleRoundTripsBitForBit) {
   // %.17g through strtod must reproduce the exact bits — this is what
   // makes the concurrency suite's wire-level bit-identity check valid.

@@ -365,11 +365,13 @@ TEST(BfsKernelTest, IntraPassReuseAcrossSourcesResetsState) {
 }
 
 TEST(BfsKernelTest, IntraPassZeroThreadsStandaloneIsSequential) {
-  // num_threads == 0 means "inherit"; standalone engines have nothing to
-  // inherit from and must stay sequential (no pool).
+  // The default width is 1, and 0 also means a sequential pass (no pool);
+  // only an explicit width above 1 builds an intra-pass pool.
   const CsrGraph g = MakePath(10);
-  BfsSpd inherit(g, Hybrid());
-  EXPECT_EQ(inherit.intra_pool(), nullptr);
+  BfsSpd by_default(g, Hybrid());
+  EXPECT_EQ(by_default.intra_pool(), nullptr);
+  BfsSpd zero(g, WithThreads(Hybrid(), 0));
+  EXPECT_EQ(zero.intra_pool(), nullptr);
   BfsSpd one(g, WithThreads(Hybrid(), 1));
   EXPECT_EQ(one.intra_pool(), nullptr);
   BfsSpd two(g, WithThreads(Hybrid(), 2));

@@ -194,12 +194,12 @@ TEST_F(ToolCliTest, SpdThreadsFlagIsAcceptedAndReportedInJson) {
             true)
       << estimate;
   EXPECT_EQ(exit_code, 0) << estimate;
-  // The default (0 = inherit --threads) is reported verbatim, and results
+  // The default (1, sequential passes) is reported verbatim, and results
   // are identical to the intra-parallel run — same value at any width.
   const std::string plain =
       RunStdout("--json exact " + graph + " 0", &exit_code);
   EXPECT_EQ(exit_code, 0) << plain;
-  EXPECT_NE(plain.find("\"spd_threads\": 0"), std::string::npos) << plain;
+  EXPECT_NE(plain.find("\"spd_threads\": 1"), std::string::npos) << plain;
   const auto value_of = [](const std::string& json) {
     const std::string key = "\"value\": ";
     const std::size_t at = json.find(key);

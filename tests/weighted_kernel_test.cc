@@ -288,11 +288,13 @@ TEST(WeightedKernelTest, ReuseAcrossSourcesResetsState) {
 }
 
 TEST(WeightedKernelTest, ZeroThreadsStandaloneIsSequential) {
-  // num_threads == 0 means "inherit"; standalone engines have nothing to
-  // inherit from and must stay sequential (no pool).
+  // The default width is 1, and 0 also means a sequential pass (no pool);
+  // only an explicit width above 1 builds an intra-pass pool.
   const CsrGraph g = AssignUniformWeights(MakePath(10), 1.0, 3.0, 0x11);
-  DeltaSpd inherit(g, SpdOptions());
-  EXPECT_EQ(inherit.intra_pool(), nullptr);
+  DeltaSpd by_default(g, SpdOptions());
+  EXPECT_EQ(by_default.intra_pool(), nullptr);
+  DeltaSpd zero(g, WithThreads(0));
+  EXPECT_EQ(zero.intra_pool(), nullptr);
   DeltaSpd one(g, WithThreads(1));
   EXPECT_EQ(one.intra_pool(), nullptr);
   DeltaSpd two(g, WithThreads(2));
