@@ -1,25 +1,32 @@
 // E18 — Parallel scaling: wall-clock speedup vs thread count (1/2/4/8) for
-// the three parallel paths introduced with the execution subsystem:
+// the two source-parallel paths, plus a multi-vertex engine query:
 //
 //   1. multi-chain MH     — RunMultipleChains, K independent chains
 //   2. parallel Brandes   — BrandesBetweenness, source-sharded exact scores
-//   3. EstimateMany       — sharded per-vertex fan-out on one engine
+//   3. EstimateMany       — an engine built with num_threads = t serving
+//                           per-vertex queries in order on its one memo
 //
 // Each row also re-checks the subsystem's core promise: the values at
-// t threads are bit-identical to the 1-thread run ("det" column), and
-// reports per-pass throughput ("p/s": forward shortest-path passes per
-// second — the hardware-independent unit estimators are priced in, and
-// the number bench_e22 tracks for the intra-pass axis). Speedup on a
-// machine with fewer hardware threads than t tops out at the hardware
-// (this harness reports, it does not assert).
+// t threads are bit-identical to the 1-thread run (a "!DET" speedup cell
+// flags a violation and fails the run with exit 1), and reports per-pass
+// throughput ("p/s": forward shortest-path passes per second — the
+// hardware-independent unit estimators are priced in, and the number
+// bench_e22 tracks for the intra-pass axis). The EstimateMany fan-out runs
+// no parallel path, so its "passes" column must match the 1-thread row at
+// every width. Speedup on a machine with fewer hardware threads than t
+// tops out at the hardware (this harness reports, it does not assert).
 //
 //   bench_e18_parallel_scaling [n] [chains] [iterations] [many_vertices]
 //
 // Defaults: n=10'000 (Barabasi-Albert, m=4), 8 chains x 1'500 iterations,
-// EstimateMany over 12 spread vertices at 400 samples each.
+// EstimateMany over 12 spread vertices at 400 samples each. Every argument
+// must be a plain decimal count in its range (see --help); a bad one
+// prints the usage and exits 2.
 
 #include <cmath>
-#include <cstdlib>
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
 #include <thread>
 #include <vector>
 
@@ -27,6 +34,7 @@
 #include "centrality/engine.h"
 #include "core/multi_chain.h"
 #include "graph/generators.h"
+#include "serve/request_fields.h"
 #include "util/timer.h"
 
 namespace {
@@ -52,22 +60,68 @@ std::string PassesPerSecondCell(const Run& run) {
   return FormatDouble(static_cast<double>(run.sp_passes) / run.seconds, 0);
 }
 
+constexpr char kUsage[] =
+    "usage: bench_e18_parallel_scaling [n] [chains] [iterations] "
+    "[many_vertices]\n"
+    "  n              Barabasi-Albert vertices, 5..4294967294 "
+    "(default 10000)\n"
+    "  chains         multi-chain MH chains, 2..4294967295 (default 8)\n"
+    "  iterations     iterations per chain, >= 2 (default 1500)\n"
+    "  many_vertices  EstimateMany vertices, 3..n (default 12)\n";
+
+/// One positional argument: a plain decimal count in [min, max], parsed by
+/// the same digits-only rule as the tools' count flags.
+bool ParseArg(const char* name, const char* text, std::uint64_t min,
+              std::uint64_t max, std::uint64_t* out) {
+  const StatusOr<std::uint64_t> parsed =
+      serve::ParseCountField(name, text, max);
+  if (!parsed.ok()) {
+    std::fprintf(stderr, "%s\n", parsed.status().message().c_str());
+    return false;
+  }
+  if (parsed.value() < min) {
+    std::fprintf(stderr, "%s=%s is below the minimum %llu\n", name, text,
+                 static_cast<unsigned long long>(min));
+    return false;
+  }
+  *out = parsed.value();
+  return true;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::Banner("E18", "parallel scaling vs thread count");
-  const VertexId n =
-      argc > 1 ? static_cast<VertexId>(std::strtoul(argv[1], nullptr, 10))
-               : 10'000;
-  const std::uint32_t chains =
-      argc > 2 ? static_cast<std::uint32_t>(std::strtoul(argv[2], nullptr, 10))
-               : 8;
-  const std::uint64_t iterations =
-      argc > 3 ? std::strtoull(argv[3], nullptr, 10) : 1'500;
-  const std::size_t many_vertices =
-      argc > 4 ? std::strtoull(argv[4], nullptr, 10) : 12;
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--help") == 0) {
+      std::fputs(kUsage, stdout);
+      return 0;
+    }
+  }
+  std::uint64_t n = 10'000;
+  std::uint64_t chains = 8;
+  std::uint64_t iterations = 1'500;
+  std::uint64_t many_vertices = 12;
+  // MakeBarabasiAlbert(n, 4) needs n >= 5; the Gelman-Rubin readout needs
+  // two chains of two iterations; EstimateMany always asks for the hub,
+  // median and peripheral targets.
+  const bool args_ok =
+      argc <= 5 &&
+      (argc <= 1 || ParseArg("n", argv[1], 5, kInvalidVertex - 1, &n)) &&
+      (argc <= 2 ||
+       ParseArg("chains", argv[2], 2, UINT32_MAX, &chains)) &&
+      (argc <= 3 ||
+       ParseArg("iterations", argv[3], 2, UINT64_MAX, &iterations)) &&
+      (argc <= 4 ||
+       ParseArg("many_vertices", argv[4], 3, n, &many_vertices));
+  if (!args_ok) {
+    if (argc > 5) std::fprintf(stderr, "too many arguments\n");
+    std::fputs(kUsage, stderr);
+    return 2;
+  }
 
-  const CsrGraph graph = MakeBarabasiAlbert(n, 4, /*seed=*/0xE18);
+  bench::Banner("E18", "parallel scaling vs thread count");
+  const CsrGraph graph =
+      MakeBarabasiAlbert(static_cast<VertexId>(n), 4, /*seed=*/0xE18);
   const bench::TargetSet targets = bench::PickTargets(graph);
 
   bench::JsonReport json("e18");
@@ -92,7 +146,8 @@ int main(int argc, char** argv) {
   for (unsigned t : kThreadCounts) {
     WallTimer timer;
     const MultiChainResult result =
-        RunMultipleChains(graph, targets.hub, iterations, chains, mh_options,
+        RunMultipleChains(graph, targets.hub, iterations,
+                          static_cast<std::uint32_t>(chains), mh_options,
                           /*num_threads=*/t);
     Run run;
     run.seconds = timer.ElapsedSeconds();
@@ -120,12 +175,11 @@ int main(int argc, char** argv) {
     brandes_runs.push_back(run);
   }
 
-  // --------------------------------------------- sharded EstimateMany
+  // ------------------------------------ EstimateMany on a t-thread engine
   std::vector<VertexId> vertices{targets.hub, targets.median,
                                  targets.peripheral};
-  for (std::size_t i = 3; i < many_vertices; ++i) {
-    vertices.push_back(static_cast<VertexId>(
-        (static_cast<std::size_t>(n) * i) / many_vertices));
+  for (std::uint64_t i = 3; i < many_vertices; ++i) {
+    vertices.push_back(static_cast<VertexId>((n * i) / many_vertices));
   }
   EstimateRequest request;
   request.kind = EstimatorKind::kMetropolisHastings;
@@ -159,7 +213,7 @@ int main(int argc, char** argv) {
   }
 
   Table table({"threads", "multi-chain s", "speedup", "p/s", "brandes s",
-               "speedup", "p/s", "many s", "speedup", "p/s"});
+               "speedup", "p/s", "many s", "speedup", "p/s", "passes"});
   for (std::size_t i = 0; i < std::size(kThreadCounts); ++i) {
     table.AddRow({std::to_string(kThreadCounts[i]),
                   FormatDouble(chain_runs[i].seconds, 3),
@@ -170,7 +224,8 @@ int main(int argc, char** argv) {
                   PassesPerSecondCell(brandes_runs[i]),
                   FormatDouble(many_runs[i].seconds, 3),
                   SpeedupCell(many_runs[0].seconds, many_runs[i]),
-                  PassesPerSecondCell(many_runs[i])});
+                  PassesPerSecondCell(many_runs[i]),
+                  FormatCount(many_runs[i].sp_passes)});
   }
   bench::EmitTable(&json,
                    "E18: wall-clock speedup + passes/sec vs 1-thread "
@@ -179,5 +234,16 @@ int main(int argc, char** argv) {
                    table);
   const std::string written = json.Write();
   if (!written.empty()) std::printf("wrote %s\n", written.c_str());
+  for (const std::vector<Run>* runs : {&chain_runs, &brandes_runs, &many_runs}) {
+    for (const Run& run : *runs) {
+      if (!run.matches_baseline) {
+        // Fail the run (and the CI release-bench job): a !DET row means a
+        // parallel path changed a statistical result.
+        std::fprintf(stderr, "FAIL: thread-count determinism violation "
+                             "(!DET)\n");
+        return 1;
+      }
+    }
+  }
   return 0;
 }

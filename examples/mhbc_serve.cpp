@@ -33,10 +33,11 @@
 //   --queue=<k>           admission queue capacity; a full queue rejects
 //                         with the `overload` error class (default 64)
 //   --threads=<k>         EngineOptions::num_threads per session: the
-//                         source-parallel axis only (exact builds, RK
-//                         batches, multi-vertex fan-out); it never widens
-//                         a pass (default 1; bit-identical results at
-//                         every setting)
+//                         source-parallel axis of the exact build and the
+//                         RK credit batches; multi-vertex requests serve
+//                         in order on one memo, and it never widens a pass
+//                         (default 1; bit-identical results at every
+//                         setting)
 //   --spd-threads=<k>     frontier-/wave-parallel threads within each
 //                         shortest-path pass (SpdOptions::num_threads;
 //                         default 1, sequential — same bit-identical

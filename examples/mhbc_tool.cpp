@@ -35,9 +35,9 @@
 //
 // Global flags (anywhere on the command line):
 //   --threads=<k>    engine worker threads for the source-parallel axis
-//                    (exact builds, RK batches, multi-vertex fan-out);
-//                    0 = one per hardware thread, default 1. It never
-//                    widens a pass. Values are bit-identical at any
+//                    (exact builds, RK batches); 0 = one per hardware
+//                    thread, default 1. Multi-vertex estimates serve in
+//                    order on one memo, and it never widens a pass. Values are bit-identical at any
 //                    setting — threads change wall-clock, never results.
 //   --spd-threads=<k> frontier-parallel (unweighted) or wave-parallel
 //                    (weighted) threads *within* each shortest-path pass
@@ -322,11 +322,10 @@ int CmdConvert(const std::string& in, const std::string& out) {
 }
 
 int CmdEstimators() {
-  mhbc::Table table({"name", "weighted", "chain", "sharded", "description"});
+  mhbc::Table table({"name", "weighted", "chain", "description"});
   for (const mhbc::EstimatorEntry& entry : mhbc::EstimatorRegistry()) {
     table.AddRow({entry.name, entry.supports_weighted ? "yes" : "no",
-                  entry.chain_based ? "yes" : "no",
-                  entry.sharded_many ? "yes" : "no", entry.summary});
+                  entry.chain_based ? "yes" : "no", entry.summary});
   }
   PrintTableOrJson(table);
   return 0;

@@ -29,14 +29,9 @@ EstimatorEntry MakeEntry(EstimatorKind kind) {
   entry.name = EstimatorKindName(kind);
   entry.supports_weighted = true;
   entry.chain_based = false;
-  // Per-vertex queries are independent for every sampling kind; only the
-  // whole-graph products (exact scores, the RK credit vector) are computed
-  // once and served to all vertices, so sharding them would waste work.
-  entry.sharded_many = true;
   switch (kind) {
     case EstimatorKind::kExact:
       entry.summary = "exact Brandes (n passes, zero error)";
-      entry.sharded_many = false;
       break;
     case EstimatorKind::kMetropolisHastings:
       entry.summary = "single-space MH chain average (paper Eq. 7)";
@@ -54,7 +49,6 @@ EstimatorEntry MakeEntry(EstimatorKind kind) {
       break;
     case EstimatorKind::kShortestPath:
       entry.summary = "Riondato-Kornaropoulos shortest-path sampling";
-      entry.sharded_many = false;
       break;
     case EstimatorKind::kLinearScaling:
       entry.summary = "Geisberger linear-scaling sources (unweighted only)";
@@ -99,6 +93,9 @@ struct BetweennessEngine::RkCredit {
   std::uint64_t seed = 0;
   /// Paper-normalized estimates for every vertex.
   std::vector<double> values;
+  /// Per-vertex batch-means standard error of `values` (0 for a single
+  /// batch), so a cache serve reports the same spread as the build.
+  std::vector<double> std_errors;
 };
 
 struct BetweennessEngine::JointCache {
@@ -118,24 +115,16 @@ BetweennessEngine::~BetweennessEngine() = default;
 
 // ------------------------------------------------------------ lazy state
 
-namespace {
-
-/// Bytes one dependency-memo entry costs: the memoized vector (n doubles)
-/// plus the pass distances kept for ApplyDelta's selective invalidation
-/// (n u32 hop distances unweighted, n double weighted distances weighted).
-std::size_t DependencyEntryBytes(const CsrGraph& graph) {
-  return static_cast<std::size_t>(graph.num_vertices()) *
-         (graph.weighted() ? sizeof(double) + sizeof(double)
-                           : sizeof(double) + sizeof(std::uint32_t));
-}
-
-}  // namespace
-
 std::size_t BetweennessEngine::DependencyCacheEntries(
     const CsrGraph& graph) const {
   // Entry capacity from the byte budget; more than n entries can never be
-  // used.
-  const std::size_t bytes_per_entry = DependencyEntryBytes(graph);
+  // used. One entry is the memoized vector (n doubles) plus the pass
+  // distances kept for ApplyDelta's selective invalidation (n u32 hop
+  // distances unweighted, n double weighted distances weighted).
+  const std::size_t bytes_per_entry =
+      static_cast<std::size_t>(graph.num_vertices()) *
+      (graph.weighted() ? sizeof(double) + sizeof(double)
+                        : sizeof(double) + sizeof(std::uint32_t));
   if (bytes_per_entry == 0) return 0;
   return std::min<std::size_t>(
       options_.dependency_cache_bytes / bytes_per_entry,
@@ -200,63 +189,6 @@ ThreadPool* BetweennessEngine::pool() {
   return pool_.get();
 }
 
-void BetweennessEngine::EnsureShards() {
-  if (!shards_.empty()) return;
-  // One fully sequential engine per pool worker. Shards split the memo
-  // byte budget so the engine's total cache footprint stays within the
-  // configured bound no matter how wide the pool is — but never below one
-  // entry, or a large graph would silently disable shard memoization
-  // entirely. 0 stays 0: caching explicitly off.
-  EngineOptions shard_options = options_;
-  shard_options.num_threads = 1;
-  // Shards are the parallel axis of a fan-out; their passes must stay
-  // sequential or the pool would be oversubscribed num_threads-fold.
-  shard_options.spd.num_threads = 1;
-  shard_options.dependency_cache_bytes =
-      options_.dependency_cache_bytes / resolved_threads();
-  if (options_.dependency_cache_bytes > 0) {
-    shard_options.dependency_cache_bytes = std::max(
-        shard_options.dependency_cache_bytes, DependencyEntryBytes(*graph_));
-  }
-  shards_.reserve(pool()->num_threads());
-  for (unsigned w = 0; w < pool()->num_threads(); ++w) {
-    shards_.push_back(
-        std::make_unique<BetweennessEngine>(*graph_, shard_options));
-  }
-}
-
-template <typename VertexAt, typename RequestAt>
-std::vector<EstimateReport> BetweennessEngine::ServeSharded(
-    std::size_t count, VertexAt vertex_at, RequestAt request_at) {
-  EnsureShards();
-  // Pre-warm each shard from the owning oracle's memo (a vector copy is
-  // much cheaper than the pass it replaces), then fan out. Within one
-  // fan-out the shards still pay their passes independently — that is the
-  // price of a zero-synchronization hot path — but knowledge accumulated
-  // by earlier queries and earlier fan-outs is shared.
-  if (oracle_) {
-    for (const std::unique_ptr<BetweennessEngine>& shard : shards_) {
-      shard->oracle()->MergeCacheFrom(*oracle_);
-    }
-  }
-  std::vector<EstimateReport> reports = ParallelMap<EstimateReport>(
-      pool(), count, [this, &vertex_at, &request_at](unsigned worker,
-                                                     std::size_t i) {
-        StatusOr<EstimateReport> report =
-            shards_[worker]->Estimate(vertex_at(i), request_at(i));
-        // Requests were validated against this engine's graph up front, and
-        // shards are bound to the same graph.
-        MHBC_DCHECK(report.ok());
-        return std::move(report).value();
-      });
-  // Pull the shards' freshly memoized dependency vectors into the owning
-  // oracle so sequential queries after the fan-out reuse the passes.
-  for (const std::unique_ptr<BetweennessEngine>& shard : shards_) {
-    if (shard->oracle_) oracle()->MergeCacheFrom(*shard->oracle_);
-  }
-  return reports;
-}
-
 const std::vector<double>& BetweennessEngine::exact_scores() {
   if (!exact_ready_) {
     exact_scores_ = BrandesBetweenness(*graph_, Normalization::kPaper,
@@ -278,8 +210,7 @@ std::uint32_t BetweennessEngine::vertex_diameter(std::uint64_t seed) {
 }
 
 const BetweennessEngine::RkCredit& BetweennessEngine::EnsureRkCredit(
-    std::uint64_t samples, std::uint64_t seed, VertexId se_vertex,
-    std::vector<double>* batch_estimates, bool* served_from_cache) {
+    std::uint64_t samples, std::uint64_t seed, bool* served_from_cache) {
   if (rk_credit_ && rk_credit_->samples == samples &&
       rk_credit_->seed == seed) {
     *served_from_cache = true;
@@ -323,19 +254,25 @@ const BetweennessEngine::RkCredit& BetweennessEngine::EnsureRkCredit(
   auto credit = std::make_unique<RkCredit>();
   credit->samples = samples;
   credit->seed = seed;
-  credit->values.assign(graph_->num_vertices(), 0.0);
-  for (std::uint64_t b = 0; b < batches; ++b) {
-    const std::vector<double>& estimates = batch_credit[b];
-    const double weight = static_cast<double>(base + (b < extra ? 1 : 0));
-    for (VertexId v = 0; v < graph_->num_vertices(); ++v) {
-      credit->values[v] += estimates[v] * weight;
+  credit->values.resize(graph_->num_vertices());
+  credit->std_errors.resize(graph_->num_vertices());
+  for (VertexId v = 0; v < graph_->num_vertices(); ++v) {
+    // Batch order per vertex: the weighted mean and the batch-means
+    // standard error every serve of this vector reports for v.
+    double weighted_sum = 0.0;
+    RunningStats batch_means;
+    for (std::uint64_t b = 0; b < batches; ++b) {
+      const double estimate = batch_credit[b][v];
+      const double weight = static_cast<double>(base + (b < extra ? 1 : 0));
+      weighted_sum += estimate * weight;
+      batch_means.Add(estimate);
     }
-    if (batch_estimates != nullptr) {
-      batch_estimates->push_back(estimates[se_vertex]);
-    }
-  }
-  for (double& value : credit->values) {
-    value /= static_cast<double>(samples);
+    credit->values[v] = weighted_sum / static_cast<double>(samples);
+    credit->std_errors[v] =
+        batch_means.count() >= 2
+            ? batch_means.stddev() /
+                  std::sqrt(static_cast<double>(batch_means.count()))
+            : 0.0;
   }
   extra_passes_ += samples;  // one pass per sampled path, on batch samplers
   rk_credit_ = std::move(credit);
@@ -347,18 +284,11 @@ std::uint64_t BetweennessEngine::total_sp_passes() const {
   if (oracle_) passes += oracle_->num_passes();
   if (rk_) passes += rk_->num_passes();
   if (geisberger_) passes += geisberger_->num_passes();
-  for (const std::unique_ptr<BetweennessEngine>& shard : shards_) {
-    passes += shard->total_sp_passes();
-  }
   return passes;
 }
 
 std::uint64_t BetweennessEngine::dependency_cache_hits() const {
-  std::uint64_t hits = oracle_ ? oracle_->cache_hits() : 0;
-  for (const std::unique_ptr<BetweennessEngine>& shard : shards_) {
-    hits += shard->dependency_cache_hits();
-  }
-  return hits;
+  return oracle_ ? oracle_->cache_hits() : 0;
 }
 
 // ------------------------------------------------------------ validation
@@ -509,25 +439,16 @@ void BetweennessEngine::ServeSamplesBudget(VertexId r,
     return;
   }
   if (kind == EstimatorKind::kShortestPath) {
-    std::vector<double> batch_estimates;
+    // A credit vector from an earlier query (or TopK) serves any vertex at
+    // zero passes, with the statistics the build computed for it.
     bool served_from_cache = false;
-    const RkCredit& credit = EnsureRkCredit(
-        request.samples, request.seed, r, &batch_estimates, &served_from_cache);
+    const RkCredit& credit =
+        EnsureRkCredit(request.samples, request.seed, &served_from_cache);
+    report->cache_hit = served_from_cache;
     report->value = credit.values[r];
-    report->ess = static_cast<double>(request.samples);
-    if (served_from_cache) {
-      // Whole-graph credit vector from an earlier query (or TopK) —
-      // serving any vertex costs zero passes and spends no new samples.
-      report->cache_hit = true;
-      return;
-    }
     report->samples_used = request.samples;
-    if (batch_estimates.size() >= 2) {
-      RunningStats batch_means;
-      for (double estimate : batch_estimates) batch_means.Add(estimate);
-      report->std_error = batch_means.stddev() /
-                          std::sqrt(static_cast<double>(batch_means.count()));
-    }
+    report->ess = static_cast<double>(request.samples);
+    report->std_error = credit.std_errors[r];
     return;
   }
 
@@ -689,24 +610,12 @@ StatusOr<EstimateReport> BetweennessEngine::Estimate(
 
 StatusOr<std::vector<EstimateReport>> BetweennessEngine::EstimateBatch(
     const std::vector<EstimateRequest>& requests) {
-  bool all_sharded = !requests.empty();
   for (const EstimateRequest& request : requests) {
     const Status status = ValidateRequest(request.vertex, request);
     if (!status.ok()) return status;  // fail fast, before any work
-    all_sharded = all_sharded && FindEstimator(request.kind)->sharded_many;
   }
-  // Pool-splitting policy (see engine.h): fan out across shards only when
-  // the queries can occupy the pool; smaller batches serve sequentially on
-  // the owning engine, whose passes then use the pool internally. Both
-  // shapes return identical statistical fields.
-  if (all_sharded && requests.size() > 1 && resolved_threads() > 1 &&
-      requests.size() >= resolved_threads()) {
-    return ServeSharded(
-        requests.size(), [&requests](std::size_t i) { return requests[i].vertex; },
-        [&requests](std::size_t i) -> const EstimateRequest& {
-          return requests[i];
-        });
-  }
+  // In order on the one shared memo: a pass paid for one query serves every
+  // later query that proposes the same source.
   std::vector<EstimateReport> reports;
   reports.reserve(requests.size());
   for (const EstimateRequest& request : requests) {
@@ -719,27 +628,11 @@ StatusOr<std::vector<EstimateReport>> BetweennessEngine::EstimateBatch(
 
 StatusOr<std::vector<EstimateReport>> BetweennessEngine::EstimateMany(
     const std::vector<VertexId>& vertices, const EstimateRequest& request) {
-  for (VertexId vertex : vertices) {
-    const Status status = ValidateRequest(vertex, request);
-    if (!status.ok()) return status;  // fail fast, before any work
+  std::vector<EstimateRequest> requests(vertices.size(), request);
+  for (std::size_t i = 0; i < vertices.size(); ++i) {
+    requests[i].vertex = vertices[i];
   }
-  // Same pool-splitting policy as EstimateBatch: shard only when the
-  // vertex count can occupy the pool.
-  if (!vertices.empty() && FindEstimator(request.kind)->sharded_many &&
-      vertices.size() > 1 && resolved_threads() > 1 &&
-      vertices.size() >= resolved_threads()) {
-    return ServeSharded(
-        vertices.size(), [&vertices](std::size_t i) { return vertices[i]; },
-        [&request](std::size_t) -> const EstimateRequest& { return request; });
-  }
-  std::vector<EstimateReport> reports;
-  reports.reserve(vertices.size());
-  for (VertexId vertex : vertices) {
-    StatusOr<EstimateReport> report = Estimate(vertex, request);
-    if (!report.ok()) return report.status();
-    reports.push_back(std::move(report).value());
-  }
-  return reports;
+  return EstimateBatch(requests);
 }
 
 StatusOr<JointResult> BetweennessEngine::EstimateRelative(
@@ -787,9 +680,7 @@ StatusOr<std::vector<TopKEntry>> BetweennessEngine::TopK(std::uint32_t k,
   const std::uint32_t diameter = std::max(vertex_diameter(seed), 2u);
   const std::uint64_t samples = RkSampler::SampleBound(diameter, eps, delta);
   bool served_from_cache = false;
-  const RkCredit& credit = EnsureRkCredit(samples, seed, /*se_vertex=*/0,
-                                          /*batch_estimates=*/nullptr,
-                                          &served_from_cache);
+  const RkCredit& credit = EnsureRkCredit(samples, seed, &served_from_cache);
   const std::vector<std::size_t> order = RankOrderFromScores(credit.values);
   std::vector<TopKEntry> top;
   top.reserve(k);
@@ -821,10 +712,10 @@ Status BetweennessEngine::ApplyDelta(const GraphDelta& delta) {
   // Once the engine owns the graph, a successful Apply has already freed
   // the pre-edit arrays: nothing below may read state bound to them until
   // it is reset (the oracle's ApplyGraphDelta reads only the new graph
-  // and tables the oracle owns). Samplers and shards rebuild lazily on
-  // next use. Whole-graph products (exact scores, RK credit vector,
-  // diameter estimate, joint-space result) are aggregates over all vertex
-  // pairs, which any edge edit — or, for a vertex append, the n-dependent
+  // and tables the oracle owns). Samplers rebuild lazily on next use.
+  // Whole-graph products (exact scores, RK credit vector, diameter
+  // estimate, joint-space result) are aggregates over all vertex pairs,
+  // which any edge edit — or, for a vertex append, the n-dependent
   // normalization — touches, so they always reset; the dependency memo is
   // the selectively-surviving part, handled by the oracle below.
   mh_.reset();
@@ -832,7 +723,6 @@ Status BetweennessEngine::ApplyDelta(const GraphDelta& delta) {
   distance_.reset();
   rk_.reset();
   geisberger_.reset();
-  shards_.clear();
   exact_scores_.clear();
   exact_ready_ = false;
   vertex_diameter_.reset();

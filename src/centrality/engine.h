@@ -52,43 +52,39 @@
 /// either traversal direction and the backward sweep is pinned to it
 /// (sp/spd.h). Tuning changes how fast a pass runs, never what it returns.
 ///
-/// Parallelism and the thread contract. Set EngineOptions::num_threads to
-/// parallelize *inside* the engine: the exact-score build runs the
-/// source-parallel Brandes, the RK credit vector accumulates its sample
-/// batches concurrently, and EstimateMany / EstimateBatch fan independent
-/// per-vertex queries out across internal per-worker engine shards (each
-/// shard is a fully sequential engine with its own samplers and a private
-/// dependency oracle; shard memos merge back into the owning engine's
-/// oracle when the fan-out completes, so later queries reuse the shards'
-/// passes). Because every per-vertex report is a pure function of
-/// (graph, request) and every parallel reduction uses a fixed,
-/// thread-count-independent grouping, all *statistical* report fields —
-/// value, samples_used, acceptance_rate, ess, std_error, ci_half_width,
-/// converged — are bit-identical at every num_threads setting. Work
-/// accounting (sp_passes attribution, cache_hit, seconds) legitimately
-/// depends on scheduling and is excluded from that guarantee, as are
-/// kDeadline budgets (wall-clock stop rules are nondeterministic even
-/// sequentially). Chain-driven calls (EstimateRelative / RankTargets) stay
-/// sequential by design: a Markov chain is one serial dependency, and
-/// splitting it would change the estimator.
+/// Parallelism and the thread contract. EngineOptions::num_threads
+/// parallelizes two whole-graph builds *inside* the engine: the exact-score
+/// build runs the source-parallel Brandes, and the RK credit vector
+/// accumulates its sample batches concurrently. Multi-vertex queries
+/// (EstimateMany / EstimateBatch) serve in order on the engine's one
+/// dependency memo: one pass from a proposal v yields delta_v(r) for every
+/// target r, so a pass paid for one query serves the later ones, and a
+/// fan-out costs the same passes at every num_threads. Because every
+/// per-vertex report is a pure function of (graph, request) and every
+/// parallel reduction uses a fixed, thread-count-independent grouping, all
+/// *statistical* report fields — value, samples_used, acceptance_rate,
+/// ess, std_error, ci_half_width, converged — are bit-identical at every
+/// num_threads setting. Work accounting (sp_passes attribution, cache_hit,
+/// seconds) is excluded from that guarantee, as are kDeadline budgets
+/// (wall-clock stop rules are nondeterministic even sequentially).
+/// Chain-driven calls (EstimateRelative / RankTargets) stay sequential by
+/// design: a Markov chain is one serial dependency, and splitting it would
+/// change the estimator.
 ///
-/// Pool-splitting policy: one thread budget, one parallel axis per call.
-/// num_threads is the source-parallel axis only (the exact Brandes build,
-/// RK credit batches, and EstimateMany / EstimateBatch, which shard only
-/// when the query count reaches the pool width). It never widens a pass:
-/// a frontier-parallel pass costs about twice the CPU of a sequential one
-/// and wins wall time only on large graphs, so serial-path passes run at
-/// spd.num_threads (default 1) and intra-pass threads are an explicit
-/// latency knob. Fan-out workers (shards, Brandes, RK batches on a pool
-/// wider than 1) force their passes sequential so the axes never
-/// multiply. Every choice here is bit-neutral: both serving shapes and
-/// every spd.num_threads value produce identical statistical fields.
+/// One thread budget, one parallel axis per call. num_threads never widens
+/// a pass: a frontier-parallel pass costs about twice the CPU of a
+/// sequential one and wins wall time only on large graphs, so serial-path
+/// passes run at spd.num_threads (default 1) and intra-pass threads are an
+/// explicit latency knob. The fan-out workers (Brandes, RK batches on a
+/// pool wider than 1) force their passes sequential so the axes never
+/// multiply. Every choice here is bit-neutral: every num_threads and
+/// spd.num_threads value produces identical statistical fields.
 ///
 /// External thread-compatibility is unchanged: concurrent calls into ONE
 /// engine still require external synchronization (queries mutate shared
 /// caches). For concurrent serving either put a mutex in front of one
-/// engine or shard one engine per server worker — engines share nothing
-/// but the graph.
+/// engine or give each server worker its own engine — engines share
+/// nothing but the graph.
 ///
 /// Graph mutation. ApplyDelta(delta) edits the served graph in place
 /// (an internal DynamicGraph writes the post-edit CSR; see
@@ -150,19 +146,19 @@ struct EstimateRequest {
 struct EstimateReport : BetweennessEstimate {
   /// The queried vertex.
   VertexId vertex = kInvalidVertex;
-  /// Samples / chain iterations backing `value` (0 for kExact and for
-  /// result-cache serves, which spend no new work). For adaptive chain
-  /// budgets this is the *final* chain's length — the value is
-  /// reproducible as a kSamples request with this count and the same
-  /// seed; the doubling re-runs' total work shows up in sp_passes.
+  /// Samples / chain iterations backing `value` (0 for kExact; an RK
+  /// credit-vector serve reports the samples the vector was built from).
+  /// For adaptive chain budgets this is the *final* chain's length — the
+  /// value is reproducible as a kSamples request with this count and the
+  /// same seed; the doubling re-runs' total work shows up in sp_passes.
   std::uint64_t samples_used = 0;
   /// Fraction of MH proposals accepted (chain estimators only, else 0).
   double acceptance_rate = 0.0;
   /// Effective sample size: Geyer ESS of the chain's f-series for
   /// kMetropolisHastings, the iid draw count otherwise (0 for kExact).
   double ess = 0.0;
-  /// Standard error of `value` (0 when not measurable: kExact,
-  /// result-cache serves, or single-batch runs).
+  /// Standard error of `value` (0 when not measurable: kExact or
+  /// single-batch runs).
   double std_error = 0.0;
   /// z * std_error — the normal-approximation confidence half-width.
   double ci_half_width = 0.0;
@@ -198,19 +194,19 @@ struct EngineOptions {
   /// of the RK sampling plan — changing it redraws the paths. For fixed
   /// options every estimate is deterministic at any thread count.
   std::uint64_t report_batches = 16;
-  /// Worker threads for the engine's parallel paths (exact Brandes build,
-  /// RK credit batches, sharded EstimateMany / EstimateBatch). 0 = one per
-  /// hardware thread, 1 = fully sequential (the pre-parallel behavior).
-  /// Statistical report fields are bit-identical at every setting — see
-  /// the file comment for the exact contract.
+  /// Worker threads for the engine's two parallel builds: the exact
+  /// Brandes scores and the RK credit batches. 0 = one per hardware
+  /// thread, 1 = fully sequential. Statistical report fields are
+  /// bit-identical at every setting — see the file comment for the exact
+  /// contract.
   unsigned num_threads = 1;
-  /// Shortest-path kernel tuning — BFS direction switching unweighted, canonical-wave delta-stepping bucket width
-  /// weighted — applied to every pass the engine (and its shards,
-  /// samplers, and exact builds) runs. spd.num_threads is the width of
-  /// one pass on the serial path (default 1, sequential) and never follows
-  /// num_threads; fan-out paths force per-worker passes sequential
-  /// (pool-splitting — see the file comment). Off the determinism key: all
-  /// settings produce bit-identical reports.
+  /// Shortest-path kernel tuning — BFS direction switching unweighted,
+  /// canonical-wave delta-stepping bucket width weighted — applied to every
+  /// pass the engine (its samplers and exact builds) runs. spd.num_threads
+  /// is the width of one pass on the serial path (default 1, sequential)
+  /// and never follows num_threads; the parallel builds force per-worker
+  /// passes sequential (see the file comment). Off the determinism key:
+  /// all settings produce bit-identical reports.
   SpdOptions spd;
 };
 
@@ -227,12 +223,6 @@ struct EstimatorEntry {
   bool supports_weighted;
   /// True for the MH chain family (acceptance rate / ESS diagnostics).
   bool chain_based;
-  /// True when EstimateMany / EstimateBatch may fan this kind out across
-  /// per-worker engine shards (each per-vertex query is independent).
-  /// False for whole-graph products (exact scores, the RK credit vector)
-  /// that are computed once and serve every vertex at zero marginal
-  /// passes — sharding those would rebuild the product per worker.
-  bool sharded_many;
 };
 
 /// All registered estimators, in AllEstimatorKinds() order.
@@ -266,14 +256,16 @@ class BetweennessEngine {
   StatusOr<EstimateReport> Estimate(VertexId r, const EstimateRequest& request);
 
   /// Serves heterogeneous requests (each naming its vertex in
-  /// `request.vertex`) through the shared caches. Fails fast: the first
-  /// invalid request aborts the batch.
+  /// `request.vertex`) in order through Estimate and the shared caches.
+  /// Validates every request first: one invalid request fails the batch
+  /// before any work.
   StatusOr<std::vector<EstimateReport>> EstimateBatch(
       const std::vector<EstimateRequest>& requests);
 
-  /// One request applied to many vertices — the multi-vertex serving shape
-  /// setup amortizes best over (for kShortestPath, all vertices after the
-  /// first are served from the shared credit vector at zero passes).
+  /// One request applied to many vertices — EstimateBatch with `request`
+  /// per vertex, the serving shape setup amortizes best over (for
+  /// kShortestPath, all vertices after the first are served from the
+  /// shared credit vector at zero passes).
   StatusOr<std::vector<EstimateReport>> EstimateMany(
       const std::vector<VertexId>& vertices, const EstimateRequest& request);
 
@@ -339,17 +331,6 @@ class BetweennessEngine {
   unsigned resolved_threads() const;
   /// Lazily-built worker pool (resolved_threads() wide).
   ThreadPool* pool();
-  /// Lazily builds one sequential engine shard per pool worker.
-  void EnsureShards();
-  /// Parallel fan-out used by EstimateMany / EstimateBatch once requests
-  /// are validated: query i = (vertex_at(i), request_at(i)) runs on
-  /// whichever shard its claiming worker owns; shard oracle memos merge
-  /// back on completion. Reports come back in query order (defined in
-  /// engine.cc, the only translation unit that instantiates it).
-  template <typename VertexAt, typename RequestAt>
-  std::vector<EstimateReport> ServeSharded(std::size_t count,
-                                           VertexAt vertex_at,
-                                           RequestAt request_at);
 
   // Lazily-built shared state.
   DependencyOracle* oracle();
@@ -361,15 +342,12 @@ class BetweennessEngine {
   const std::vector<double>& exact_scores();
   std::uint32_t vertex_diameter(std::uint64_t seed);
 
-  /// Returns the all-vertices RK credit vector for (samples, seed),
-  /// serving the cache when the key matches and (re)building it through
-  /// the batched accumulation otherwise — one construction path, so a
-  /// cache serve is always bit-identical to a rebuild. When building and
-  /// `batch_estimates` is non-null, it receives the per-batch estimates
-  /// of `se_vertex` (for the standard-error readout).
+  /// Returns the all-vertices RK credit vector for (samples, seed) with
+  /// its per-vertex standard errors, serving the cache when the key
+  /// matches and (re)building it through the batched accumulation
+  /// otherwise — one construction path, so a cache serve is always
+  /// bit-identical to a rebuild.
   const RkCredit& EnsureRkCredit(std::uint64_t samples, std::uint64_t seed,
-                                 VertexId se_vertex,
-                                 std::vector<double>* batch_estimates,
                                  bool* served_from_cache);
 
   /// Runs `count` more samples of `kind` for vertex r, continuing the
@@ -406,10 +384,8 @@ class BetweennessEngine {
   std::unique_ptr<RkCredit> rk_credit_;
   std::unique_ptr<JointCache> joint_cache_;
 
-  /// Worker pool and per-worker engine shards for the parallel paths;
-  /// both lazily built, both absent while the engine runs sequentially.
+  /// Worker pool for the parallel builds, lazily built.
   std::unique_ptr<ThreadPool> pool_;
-  std::vector<std::unique_ptr<BetweennessEngine>> shards_;
 
   /// Passes run outside the oracle and samplers (exact build, RK credit
   /// batches, probes).

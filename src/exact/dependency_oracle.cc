@@ -143,15 +143,6 @@ void DependencyOracle::set_cache_capacity(std::size_t max_entries) {
   if (cache_capacity_ == 0) cache_.clear();
 }
 
-void DependencyOracle::MergeCacheFrom(const DependencyOracle& other) {
-  MHBC_DCHECK(graph_ == other.graph_);
-  if (cache_capacity_ == 0) return;
-  for (const auto& [source, entry] : other.cache_) {
-    if (cache_.size() >= cache_capacity_) return;
-    cache_.emplace(source, entry);  // no-op when the source is present
-  }
-}
-
 void DependencyOracle::ApplyGraphDelta(const CsrGraph& new_graph,
                                        std::span<const GraphEdit> edits) {
   ++graph_epoch_;

@@ -12,7 +12,7 @@
 
 /// \file
 /// Fixed-size worker pool for the library's parallel paths (multi-chain
-/// runs, source-parallel Brandes, engine query sharding).
+/// runs, source-parallel Brandes, RK credit batches, intra-pass levels).
 ///
 /// Determinism is the design constraint: every parallel algorithm in this
 /// library must reproduce its single-threaded result bit-for-bit at any

@@ -82,10 +82,10 @@ TEST(EngineTest, SecondVertexCostsFewerPassesThanFreshEngines) {
   }
 }
 
-TEST(EngineTest, ShardMemoFloorHoldsOneWholeEntry) {
-  // A budget of two bare dependency vectors splits to one per shard, which
-  // is less than one entry once the pass distances ride along. The shard
-  // floor must still leave every shard one usable entry.
+TEST(EngineTest, TwoVectorMemoBudgetHoldsOneEntry) {
+  // A budget of two bare dependency vectors is less than two entries once
+  // the pass distances ride along, but still holds one: a fan-out on a
+  // two-thread engine must get memo hits from it.
   const CsrGraph graph = MakeBarabasiAlbert(40, 2, 3);
   EngineOptions options;
   options.num_threads = 2;
@@ -145,11 +145,25 @@ TEST(EngineTest, RkCreditVectorIsSharedAcrossVertices) {
   EXPECT_EQ(reports.value()[1].sp_passes, 0u);  // served from the vector
   EXPECT_EQ(reports.value()[2].sp_passes, 0u);
   EXPECT_TRUE(reports.value()[1].cache_hit);
-  // Cached serves agree with a fresh engine paying full price.
-  BetweennessEngine fresh(g);
-  const auto direct = fresh.Estimate(15, request);
-  ASSERT_TRUE(direct.ok());
-  EXPECT_DOUBLE_EQ(reports.value()[1].value, direct.value().value);
+  EXPECT_TRUE(reports.value()[2].cache_hit);
+  // Cached serves report every statistical field a fresh engine paying
+  // full price reports: the same value, samples and batch spread.
+  for (std::size_t i : {1u, 2u}) {
+    const EstimateReport& served = reports.value()[i];
+    const auto direct = BetweennessEngine(g).Estimate(served.vertex, request);
+    ASSERT_TRUE(direct.ok());
+    const EstimateReport& cold = direct.value();
+    EXPECT_FALSE(cold.cache_hit);
+    EXPECT_EQ(served.value, cold.value) << i;
+    EXPECT_EQ(served.samples_used, cold.samples_used) << i;
+    EXPECT_EQ(served.samples_used, request.samples) << i;
+    EXPECT_EQ(served.acceptance_rate, cold.acceptance_rate) << i;
+    EXPECT_EQ(served.ess, cold.ess) << i;
+    EXPECT_EQ(served.std_error, cold.std_error) << i;
+    EXPECT_GT(served.std_error, 0.0) << i;
+    EXPECT_EQ(served.ci_half_width, cold.ci_half_width) << i;
+    EXPECT_EQ(served.converged, cold.converged) << i;
+  }
 }
 
 TEST(EngineTest, JointResultCacheServesScoresAndRanking) {

@@ -130,8 +130,8 @@ TEST(ParallelEngineTest, EstimateManyReportsInvariantAcrossThreadCounts) {
 }
 
 TEST(ParallelEngineTest, AdaptiveBudgetInvariantAcrossThreadCounts) {
-  // kStandardError stop rules depend only on batch means, so the sharded
-  // fan-out must reproduce samples_used and convergence bit-for-bit too.
+  // kStandardError stop rules depend only on batch means, so a fan-out at
+  // any width must reproduce samples_used and convergence bit-for-bit too.
   const CsrGraph g = MakeBarbell(6, 2);
   const std::vector<VertexId> vertices{6, 7, 0, 12};
   EstimateRequest request;
@@ -308,8 +308,8 @@ TEST(ParallelEngineTest, DefaultEngineRunsSequentialPassesAtEveryWidth) {
       const auto single = engine.Estimate(19, request);
       ASSERT_TRUE(single.ok());
       ExpectSameStatistics(single.value(), serial.value(), "single " + label);
-      // A fresh default engine: an RK credit vector cached by the single
-      // query would serve the fan-out without its per-batch spread.
+      // A fresh default engine, so the fan-out builds its own RK credit
+      // vector rather than serving the single query's.
       const std::vector<EstimateReport> many =
           ManyAtThreads(g, threads, request, vertices);
       for (std::size_t i = 0; i < vertices.size(); ++i) {
@@ -320,9 +320,9 @@ TEST(ParallelEngineTest, DefaultEngineRunsSequentialPassesAtEveryWidth) {
 }
 
 TEST(ParallelEngineTest, ExplicitIntraPassWidthStaysBitIdentical) {
-  // An explicit spd.num_threads runs frontier-parallel passes on the serial
-  // path (single queries, and fan-outs too small to shard) and is forced
-  // sequential inside shards; every composition must stay bit-neutral.
+  // An explicit spd.num_threads runs frontier-parallel passes for single
+  // queries and fan-outs of any size; every composition with the engine
+  // width must stay bit-neutral.
   const CsrGraph g = MakeConnectedCaveman(6, 10);
   const std::vector<VertexId> vertices{9, 19, 29, 39, 49, 59, 3, 14};
   const std::vector<VertexId> pair{9, 19};
@@ -344,7 +344,6 @@ TEST(ParallelEngineTest, ExplicitIntraPassWidthStaysBitIdentical) {
       const auto single = engine.Estimate(19, request);
       ASSERT_TRUE(single.ok());
       ExpectSameStatistics(single.value(), baseline[1], "single " + label);
-      // Two queries never occupy a 4-wide pool: served on the serial path.
       auto few = engine.EstimateMany(pair, request);
       ASSERT_TRUE(few.ok());
       for (std::size_t i = 0; i < pair.size(); ++i) {
@@ -387,9 +386,9 @@ TEST(ParallelEngineTest, IntraPassAfterApplyDeltaMatchesColdEngine) {
   }
 }
 
-TEST(ParallelEngineTest, ShardMemosMergeBackIntoOwningEngine) {
-  // After a parallel fan-out, a sequential query on the same engine must
-  // reuse the shards' passes through the merged dependency memo.
+TEST(ParallelEngineTest, FollowUpQueryReusesFanOutPasses) {
+  // After a fan-out on a 4-thread engine, a single query on the same
+  // engine must reuse the fan-out's passes through the shared memo.
   const CsrGraph g = MakeConnectedCaveman(6, 10);
   EngineOptions options;
   options.num_threads = 4;
@@ -403,13 +402,37 @@ TEST(ParallelEngineTest, ShardMemosMergeBackIntoOwningEngine) {
   const auto sequential = engine.Estimate(49, request);
   ASSERT_TRUE(sequential.ok());
   EXPECT_TRUE(sequential.value().cache_hit);
-  // The memo merge means the follow-up costs less than a cold engine pays.
+  // The shared memo means the follow-up costs less than a cold engine pays.
   BetweennessEngine cold(g);
   const auto cold_report = cold.Estimate(49, request);
   ASSERT_TRUE(cold_report.ok());
   EXPECT_LT(engine.total_sp_passes() - passes_before,
             cold_report.value().sp_passes);
   EXPECT_EQ(sequential.value().value, cold_report.value().value);
+}
+
+TEST(ParallelEngineTest, FanOutPaysTheSamePassesAtEveryWidth) {
+  // EstimateMany serves in order on the engine's one memo, so a wider
+  // engine pays no extra passes for the same fan-out.
+  const CsrGraph g = MakeConnectedCaveman(6, 10);
+  const std::vector<VertexId> vertices{9, 19, 29, 39, 49, 59, 3, 14};
+  for (EstimatorKind kind :
+       {EstimatorKind::kUniformSource, EstimatorKind::kMetropolisHastings}) {
+    EstimateRequest request;
+    request.kind = kind;
+    request.samples = 300;
+    request.seed = 0xFA0;
+    BetweennessEngine serial(g, EngineOptions{});
+    ASSERT_TRUE(serial.EstimateMany(vertices, request).ok());
+    for (unsigned threads : {2u, 4u, 8u}) {
+      EngineOptions options;
+      options.num_threads = threads;
+      BetweennessEngine engine(g, options);
+      ASSERT_TRUE(engine.EstimateMany(vertices, request).ok());
+      EXPECT_EQ(engine.total_sp_passes(), serial.total_sp_passes())
+          << EstimatorKindName(kind) << " @" << threads << " threads";
+    }
+  }
 }
 
 }  // namespace

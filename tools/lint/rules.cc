@@ -32,7 +32,7 @@ const std::vector<RuleInfo>& Rules() {
        "floating-point accumulation in unordered-container iteration order "
        "(result depends on hash layout, breaking bit-determinism)",
        "copy keys out, sort them, and fold in sorted order — see the "
-       "shard-order merges in BrandesBetweenness / MergeCacheFrom"},
+       "shard-order merge in BrandesBetweenness"},
       {"mhbc-raw-concurrency", Severity::kError,
        "raw std::thread/async/mutex/atomic (or pthread/OpenMP) outside "
        "util/thread_pool",
