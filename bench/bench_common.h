@@ -1,6 +1,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -10,6 +11,7 @@
 
 #include "exact/brandes.h"
 #include "graph/csr_graph.h"
+#include "serve/request_fields.h"
 #include "util/table.h"
 
 /// \file
@@ -68,6 +70,39 @@ inline void PrintTable(const std::string& title, const Table& table) {
 /// Standard experiment banner.
 inline void Banner(const char* id, const char* what) {
   std::printf("== %s: %s ==\n", id, what);
+}
+
+/// Strict parse of one bench argument or flag value named `name`: a plain
+/// decimal count in [min, max], by the same digits-only rule as the tools'
+/// count flags ("12x", "-1" and "" fail). False, with the reason on
+/// stderr, on a bad value; the caller prints its usage and exits 2.
+inline bool ParseArg(const char* name, const char* text, std::uint64_t min,
+                     std::uint64_t max, std::uint64_t* out) {
+  const StatusOr<std::uint64_t> parsed =
+      serve::ParseCountField(name, text, max);
+  if (!parsed.ok()) {
+    std::fprintf(stderr, "%s\n", parsed.status().message().c_str());
+    return false;
+  }
+  if (parsed.value() < min) {
+    std::fprintf(stderr, "%s=%s is below the minimum %llu\n", name, text,
+                 static_cast<unsigned long long>(min));
+    return false;
+  }
+  *out = parsed.value();
+  return true;
+}
+
+/// Real-valued twin of ParseArg (serve::ParseRealField): the whole of
+/// `text` must parse as a finite double ("abc", "1.5x", "inf" fail).
+inline bool ParseArg(const char* name, const char* text, double* out) {
+  const StatusOr<double> parsed = serve::ParseRealField(name, text);
+  if (!parsed.ok()) {
+    std::fprintf(stderr, "%s\n", parsed.status().message().c_str());
+    return false;
+  }
+  *out = parsed.value();
+  return true;
 }
 
 /// Machine-readable twin of the markdown output: collects the tables (and

@@ -1,12 +1,15 @@
 // E16 — Adaptive-budget extension: the Eq. 14 budget needs mu(r) (as hard
-// as BC(r) itself); the adaptive runner stops from the chain's own
-// variance. This harness compares realized adaptive budgets and errors
-// against the oracle Eq. 14 budget across mu regimes.
+// as BC(r) itself); the engine's standard-error budget stops from the
+// chain's own variance instead. This harness compares the realized
+// adaptive budgets and errors against the oracle Eq. 14 budget across mu
+// regimes. Each case asks for a half-width eps (target_std_error = eps / z);
+// the run exits 1 if a case fails to converge or lands more than 3 eps from
+// the chain limit.
 
 #include <cmath>
 
 #include "bench_common.h"
-#include "core/adaptive.h"
+#include "centrality/engine.h"
 #include "core/theory.h"
 #include "datasets/registry.h"
 #include "graph/generators.h"
@@ -30,6 +33,14 @@ int main() {
     cases.push_back({"email-like-1k hub", std::move(g), hub});
   }
 
+  EstimateRequest request;
+  request.kind = EstimatorKind::kMetropolisHastings;
+  request.budget = BudgetKind::kStandardError;
+  request.target_std_error = kEps / request.z;
+  request.max_samples = 1 << 17;
+  request.seed = 0xE16;
+
+  bool all_ok = true;
   Table table({"case", "mu(r)", "T(Eq.14, oracle)", "T(adaptive)",
                "converged", "|est-limit|", "half-width"});
   for (const Case& c : cases) {
@@ -38,18 +49,23 @@ int main() {
     const double limit = ChainLimitEstimate(profile);
     const std::uint64_t oracle = SampleBound(mu, kEps, 0.1);
 
-    AdaptiveOptions options;
-    options.seed = 0xE16;
-    options.epsilon = kEps;
-    options.max_iterations = 1 << 17;
-    const AdaptiveResult result = AdaptiveMhEstimate(c.graph, c.r, options);
+    const EstimateReport report =
+        BetweennessEngine(c.graph).Estimate(c.r, request).value();
+    const double error = std::fabs(report.value - limit);
+    all_ok = all_ok && report.converged && error <= 3 * kEps;
     table.AddRow({c.name, FormatDouble(mu, 1), FormatCount(oracle),
-                  FormatCount(result.iterations),
-                  result.converged ? "yes" : "no",
-                  FormatScientific(std::fabs(result.estimate - limit), 2),
-                  FormatScientific(result.half_width, 2)});
+                  FormatCount(report.samples_used),
+                  report.converged ? "yes" : "no",
+                  FormatScientific(error, 2),
+                  FormatScientific(report.ci_half_width, 2)});
   }
   bench::PrintTable(
       "E16: adaptive budgets track the mu regime without knowing mu", table);
+  if (!all_ok) {
+    std::fprintf(stderr,
+                 "E16: a case did not converge or missed the chain limit "
+                 "by more than 3 eps\n");
+    return 1;
+  }
   return 0;
 }

@@ -34,7 +34,6 @@
 #include "centrality/engine.h"
 #include "core/multi_chain.h"
 #include "graph/generators.h"
-#include "serve/request_fields.h"
 #include "util/timer.h"
 
 namespace {
@@ -69,25 +68,6 @@ constexpr char kUsage[] =
     "  iterations     iterations per chain, >= 2 (default 1500)\n"
     "  many_vertices  EstimateMany vertices, 3..n (default 12)\n";
 
-/// One positional argument: a plain decimal count in [min, max], parsed by
-/// the same digits-only rule as the tools' count flags.
-bool ParseArg(const char* name, const char* text, std::uint64_t min,
-              std::uint64_t max, std::uint64_t* out) {
-  const StatusOr<std::uint64_t> parsed =
-      serve::ParseCountField(name, text, max);
-  if (!parsed.ok()) {
-    std::fprintf(stderr, "%s\n", parsed.status().message().c_str());
-    return false;
-  }
-  if (parsed.value() < min) {
-    std::fprintf(stderr, "%s=%s is below the minimum %llu\n", name, text,
-                 static_cast<unsigned long long>(min));
-    return false;
-  }
-  *out = parsed.value();
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -106,13 +86,14 @@ int main(int argc, char** argv) {
   // median and peripheral targets.
   const bool args_ok =
       argc <= 5 &&
-      (argc <= 1 || ParseArg("n", argv[1], 5, kInvalidVertex - 1, &n)) &&
+      (argc <= 1 ||
+       bench::ParseArg("n", argv[1], 5, kInvalidVertex - 1, &n)) &&
       (argc <= 2 ||
-       ParseArg("chains", argv[2], 2, UINT32_MAX, &chains)) &&
-      (argc <= 3 ||
-       ParseArg("iterations", argv[3], 2, UINT64_MAX, &iterations)) &&
+       bench::ParseArg("chains", argv[2], 2, UINT32_MAX, &chains)) &&
+      (argc <= 3 || bench::ParseArg("iterations", argv[3], 2, UINT64_MAX,
+                                    &iterations)) &&
       (argc <= 4 ||
-       ParseArg("many_vertices", argv[4], 3, n, &many_vertices));
+       bench::ParseArg("many_vertices", argv[4], 3, n, &many_vertices));
   if (!args_ok) {
     if (argc > 5) std::fprintf(stderr, "too many arguments\n");
     std::fputs(kUsage, stderr);

@@ -21,10 +21,11 @@
 // drops to 8 sources (the CI artifact run); --alpha/--beta override the
 // hybrid setting's switch thresholds (this is the harness the defaults
 // were tuned with). Timing loops are repeated so the fastest-of-3 wall
-// clock is reported; the JSON twin lands in BENCH_e20.json.
+// clock is reported; the JSON twin lands in BENCH_e20.json. --help prints
+// the usage and exits 0; a malformed argument or value ("--alpha=abc",
+// "12x") prints it and exits 2.
 
 #include <algorithm>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <utility>
@@ -115,35 +116,47 @@ bool KernelsAgree(const CsrGraph& graph, const SpdOptions& top_down,
   return true;
 }
 
+constexpr char kUsage[] =
+    "usage: bench_e20_spd_kernel [sources_per_graph] [--smoke] "
+    "[--alpha=<a>] [--beta=<b>]\n"
+    "  sources_per_graph  spread SPD sources per graph, 1..1000000 "
+    "(default 64)\n";
+/// Upper bound on sources_per_graph (the source list is preallocated).
+constexpr std::uint64_t kMaxSources = 1'000'000;
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::Banner("E20", "SPD kernel: top-down only vs hybrid "
-                       "direction-optimizing");
-  std::size_t sources_per_graph = 64;
+  std::uint64_t sources_per_graph = 64;
   bool smoke = false;
   SpdOptions defaults;  // default alpha/beta: direction-optimizing
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
+    const char* arg = argv[i];
+    bool ok = true;
+    if (std::strcmp(arg, "--help") == 0) {
+      std::fputs(kUsage, stdout);
+      return 0;
+    } else if (std::strcmp(arg, "--smoke") == 0) {
       smoke = true;
-    } else if (std::strncmp(argv[i], "--alpha=", 8) == 0) {
-      defaults.alpha = std::strtod(argv[i] + 8, nullptr);
-    } else if (std::strncmp(argv[i], "--beta=", 7) == 0) {
-      defaults.beta = std::strtod(argv[i] + 7, nullptr);
+    } else if (std::strncmp(arg, "--alpha=", 8) == 0) {
+      ok = bench::ParseArg("--alpha", arg + 8, &defaults.alpha);
+    } else if (std::strncmp(arg, "--beta=", 7) == 0) {
+      ok = bench::ParseArg("--beta", arg + 7, &defaults.beta);
+    } else if (arg[0] == '-') {
+      std::fprintf(stderr, "unknown flag '%s'\n", arg);
+      ok = false;
     } else {
-      char* end = nullptr;
-      sources_per_graph = std::strtoull(argv[i], &end, 10);
-      if (argv[i][0] == '-' || end == argv[i] || *end != '\0' ||
-          sources_per_graph == 0) {
-        std::fprintf(stderr,
-                     "unknown argument '%s'\nusage: %s [sources_per_graph] "
-                     "[--smoke] [--alpha=<a>] [--beta=<b>]\n",
-                     argv[i], argv[0]);
-        return 2;
-      }
+      ok = bench::ParseArg("sources_per_graph", arg, 1, kMaxSources,
+                           &sources_per_graph);
+    }
+    if (!ok) {
+      std::fputs(kUsage, stderr);
+      return 2;
     }
   }
-  if (smoke) sources_per_graph = std::min<std::size_t>(sources_per_graph, 8);
+  bench::Banner("E20", "SPD kernel: top-down only vs hybrid "
+                       "direction-optimizing");
+  if (smoke) sources_per_graph = std::min<std::uint64_t>(sources_per_graph, 8);
   bench::JsonReport json("e20");
   json.AddMeta("sources_per_graph", std::to_string(sources_per_graph));
   json.AddMeta("smoke", smoke ? "true" : "false");

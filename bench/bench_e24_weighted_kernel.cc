@@ -32,10 +32,11 @@
 // --grain overrides the per-wave parallel cutoff (0 forces every wave
 // through the sharded steps). Timing loops report the fastest-of-3 wall
 // clock; the JSON twin lands in BENCH_e24.json.
+// --help prints the usage and exits 0; a malformed argument or value
+// ("--grain=-1", "12x") prints it and exits 2.
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <utility>
@@ -229,38 +230,45 @@ MutateRow RunMutateRows(const CsrGraph& start, EstimatorKind kind,
   return result;
 }
 
+constexpr char kUsage[] =
+    "usage: bench_e24_weighted_kernel [sources_per_graph] [--smoke] [--grain=<g>]\n"
+    "  sources_per_graph  spread SPD sources per graph, 1..1000000 "
+    "(default 32)\n";
+/// Upper bound on sources_per_graph (the source list is preallocated).
+constexpr std::uint64_t kMaxSources = 1'000'000;
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::Banner("E24", "weighted kernel: wave-parallel delta-stepping at "
-                       "1/2/4/8 threads + selective weighted invalidation");
-  std::size_t sources_per_graph = 32;
+  std::uint64_t sources_per_graph = 32;
   bool smoke = false;
   SpdOptions defaults;  // shipped tie rule, auto bucket width, parallel_grain
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
+    const char* arg = argv[i];
+    bool ok = true;
+    if (std::strcmp(arg, "--help") == 0) {
+      std::fputs(kUsage, stdout);
+      return 0;
+    } else if (std::strcmp(arg, "--smoke") == 0) {
       smoke = true;
-    } else if (std::strncmp(argv[i], "--grain=", 8) == 0) {
-      char* end = nullptr;
-      defaults.parallel_grain = std::strtoull(argv[i] + 8, &end, 10);
-      if (end == argv[i] + 8 || *end != '\0') {
-        std::fprintf(stderr, "bad --grain value '%s'\n", argv[i] + 8);
-        return 2;
-      }
+    } else if (std::strncmp(arg, "--grain=", 8) == 0) {
+      ok = bench::ParseArg("--grain", arg + 8, 0, UINT64_MAX,
+                           &defaults.parallel_grain);
+    } else if (arg[0] == '-') {
+      std::fprintf(stderr, "unknown flag '%s'\n", arg);
+      ok = false;
     } else {
-      char* end = nullptr;
-      sources_per_graph = std::strtoull(argv[i], &end, 10);
-      if (argv[i][0] == '-' || end == argv[i] || *end != '\0' ||
-          sources_per_graph == 0) {
-        std::fprintf(stderr,
-                     "unknown argument '%s'\nusage: %s [sources_per_graph] "
-                     "[--smoke] [--grain=<g>]\n",
-                     argv[i], argv[0]);
-        return 2;
-      }
+      ok = bench::ParseArg("sources_per_graph", arg, 1, kMaxSources,
+                           &sources_per_graph);
+    }
+    if (!ok) {
+      std::fputs(kUsage, stderr);
+      return 2;
     }
   }
-  if (smoke) sources_per_graph = std::min<std::size_t>(sources_per_graph, 8);
+  bench::Banner("E24", "weighted kernel: wave-parallel delta-stepping at "
+                       "1/2/4/8 threads + selective weighted invalidation");
+  if (smoke) sources_per_graph = std::min<std::uint64_t>(sources_per_graph, 8);
   bench::JsonReport json("e24");
   json.AddMeta("sources_per_graph", std::to_string(sources_per_graph));
   json.AddMeta("smoke", smoke ? "true" : "false");

@@ -74,7 +74,6 @@
 //      (vertex out of range, inapplicable edit script, ...)
 
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <limits>
 #include <string>
@@ -455,11 +454,14 @@ int CmdMutate(const std::string& path, int argc, char** argv) {
 }
 
 int CmdExact(const std::string& path, const char* vertex) {
+  const auto parsed = mhbc::serve::ParseCountField("vertex", vertex,
+                                                   mhbc::kInvalidVertex - 1);
+  if (!parsed.ok()) return UsageError(parsed.status().message());
+  const auto r = static_cast<VertexId>(parsed.value());
   auto source = Load(path);
   if (!source.ok()) return Fail(source.status());
   mhbc::EstimateRequest request;
   request.kind = mhbc::EstimatorKind::kExact;
-  const auto r = static_cast<VertexId>(std::strtoul(vertex, nullptr, 10));
   mhbc::BetweennessEngine engine(source.value().graph(), ToolEngineOptions());
   const auto result = engine.Estimate(r, request);
   if (!result.ok()) return Fail(result.status());
@@ -479,13 +481,20 @@ int CmdExact(const std::string& path, const char* vertex) {
 }
 
 int CmdTopK(const std::string& path, int argc, char** argv) {
+  const auto k = mhbc::serve::ParseCountField(
+      "k", argv[0], std::numeric_limits<std::uint32_t>::max());
+  if (!k.ok()) return UsageError(k.status().message());
+  const mhbc::StatusOr<double> eps =
+      argc > 1 ? mhbc::serve::ParseRealField("eps", argv[1]) : 0.02;
+  if (!eps.ok()) return UsageError(eps.status().message());
+  const mhbc::StatusOr<double> delta =
+      argc > 2 ? mhbc::serve::ParseRealField("delta", argv[2]) : 0.1;
+  if (!delta.ok()) return UsageError(delta.status().message());
   auto source = Load(path);
   if (!source.ok()) return Fail(source.status());
-  const auto k = static_cast<std::uint32_t>(std::strtoul(argv[0], nullptr, 10));
-  const double eps = argc > 1 ? std::strtod(argv[1], nullptr) : 0.02;
-  const double delta = argc > 2 ? std::strtod(argv[2], nullptr) : 0.1;
   mhbc::BetweennessEngine engine(source.value().graph(), ToolEngineOptions());
-  const auto result = engine.TopK(k, eps, delta);
+  const auto result = engine.TopK(static_cast<std::uint32_t>(k.value()),
+                                  eps.value(), delta.value());
   if (!result.ok()) return Fail(result.status());
   mhbc::Table table({"rank", "vertex", "estimated BC"});
   std::size_t rank = 1;
@@ -537,27 +546,67 @@ int CmdGenerate(int argc, char** argv) {
   if (argc < 2) return UsageError("generate: need <family> <args...> <out-file>");
   const std::string family = argv[0];
   const std::string out = argv[argc - 1];
+  // Every parameter parses strictly before its generator runs, so a typo
+  // ("4x") is a usage error, never a truncated value.
+  std::string error;
+  auto count = [&](int i, const char* name, std::uint64_t max,
+                   std::uint64_t* value) {
+    const auto parsed = mhbc::serve::ParseCountField(name, argv[i], max);
+    if (!parsed.ok()) {
+      error = parsed.status().message();
+      return false;
+    }
+    *value = parsed.value();
+    return true;
+  };
+  auto real = [&](int i, const char* name, double* value) {
+    const auto parsed = mhbc::serve::ParseRealField(name, argv[i]);
+    if (!parsed.ok()) {
+      error = parsed.status().message();
+      return false;
+    }
+    *value = parsed.value();
+    return true;
+  };
+  constexpr std::uint64_t kMaxN = mhbc::kInvalidVertex - 1;
+  constexpr std::uint64_t kMaxK = std::numeric_limits<std::uint32_t>::max();
+  constexpr std::uint64_t kMaxSeed = std::numeric_limits<std::uint64_t>::max();
+  std::uint64_t a = 0, b = 0, seed = 0;
+  double real_param = 0.0;
   CsrGraph graph;
-  auto arg = [&](int i) { return std::strtoull(argv[i], nullptr, 10); };
   if (family == "ba" && argc == 5) {
-    graph = mhbc::MakeBarabasiAlbert(static_cast<VertexId>(arg(1)),
-                                     static_cast<std::uint32_t>(arg(2)), arg(3));
+    if (count(1, "n", kMaxN, &a) && count(2, "m", kMaxK, &b) &&
+        count(3, "seed", kMaxSeed, &seed)) {
+      graph = mhbc::MakeBarabasiAlbert(static_cast<VertexId>(a),
+                                       static_cast<std::uint32_t>(b), seed);
+    }
   } else if (family == "er" && argc == 5) {
-    graph = mhbc::MakeErdosRenyiGnp(static_cast<VertexId>(arg(1)),
-                                    std::strtod(argv[2], nullptr), arg(3));
+    if (count(1, "n", kMaxN, &a) && real(2, "p", &real_param) &&
+        count(3, "seed", kMaxSeed, &seed)) {
+      graph = mhbc::MakeErdosRenyiGnp(static_cast<VertexId>(a), real_param,
+                                      seed);
+    }
   } else if (family == "ws" && argc == 6) {
-    graph = mhbc::MakeWattsStrogatz(static_cast<VertexId>(arg(1)),
-                                    static_cast<std::uint32_t>(arg(2)),
-                                    std::strtod(argv[3], nullptr), arg(4));
+    if (count(1, "n", kMaxN, &a) && count(2, "k", kMaxK, &b) &&
+        real(3, "beta", &real_param) && count(4, "seed", kMaxSeed, &seed)) {
+      graph = mhbc::MakeWattsStrogatz(static_cast<VertexId>(a),
+                                      static_cast<std::uint32_t>(b),
+                                      real_param, seed);
+    }
   } else if (family == "grid" && argc == 4) {
-    graph = mhbc::MakeGrid(static_cast<VertexId>(arg(1)),
-                           static_cast<VertexId>(arg(2)));
+    if (count(1, "rows", kMaxN, &a) && count(2, "cols", kMaxN, &b)) {
+      graph = mhbc::MakeGrid(static_cast<VertexId>(a),
+                             static_cast<VertexId>(b));
+    }
   } else if (family == "caveman" && argc == 4) {
-    graph = mhbc::MakeConnectedCaveman(static_cast<VertexId>(arg(1)),
-                                       static_cast<VertexId>(arg(2)));
+    if (count(1, "communities", kMaxN, &a) && count(2, "size", kMaxN, &b)) {
+      graph = mhbc::MakeConnectedCaveman(static_cast<VertexId>(a),
+                                         static_cast<VertexId>(b));
+    }
   } else {
     return UsageError("generate: unknown family or wrong arity");
   }
+  if (!error.empty()) return UsageError("generate: " + error);
   const mhbc::Status status = mhbc::WriteEdgeList(graph, out);
   if (!status.ok()) return Fail(status);
   if (g_flags.json) {

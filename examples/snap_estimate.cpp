@@ -22,8 +22,9 @@
 // small demo network, writes it to a temp file, and runs on that — so it
 // is runnable anywhere.
 
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -31,6 +32,7 @@
 #include "graph/generators.h"
 #include "graph/graph_io.h"
 #include "graph/ingest.h"
+#include "serve/request_fields.h"
 
 namespace {
 
@@ -115,18 +117,33 @@ int main(int raw_argc, char** raw_argv) {
   }
 
   const std::string path = argv[1];
-  const std::vector<mhbc::VertexId> vertices =
-      mhbc::ParseVertexIdList(argv[2]);
-  if (vertices.empty()) {
-    std::fprintf(stderr, "no vertex ids in '%s'\n", argv[2]);
+  const auto vertices = mhbc::ParseVertexIdListStrict(argv[2]);
+  if (!vertices.ok()) {
+    std::fprintf(stderr, "%s\n", vertices.status().message().c_str());
     return 2;
   }
   if (argc > 3 && !mhbc::ParseEstimatorKind(argv[3], &request.kind)) {
     std::fprintf(stderr, "unknown estimator '%s'\n", argv[3]);
     return 2;
   }
-  if (argc > 4) request.samples = std::strtoull(argv[4], nullptr, 10);
-  if (argc > 5) request.seed = std::strtoull(argv[5], nullptr, 10);
+  if (argc > 4) {
+    const auto samples = mhbc::serve::ParseCountField(
+        "samples", argv[4], std::uint64_t{1} << 30);
+    if (!samples.ok()) {
+      std::fprintf(stderr, "%s\n", samples.status().message().c_str());
+      return 2;
+    }
+    request.samples = samples.value();
+  }
+  if (argc > 5) {
+    const auto seed = mhbc::serve::ParseCountField(
+        "seed", argv[5], std::numeric_limits<std::uint64_t>::max());
+    if (!seed.ok()) {
+      std::fprintf(stderr, "%s\n", seed.status().message().c_str());
+      return 2;
+    }
+    request.seed = seed.value();
+  }
 
   auto loaded = mhbc::OpenGraphSource(path, load_options);
   if (!loaded.ok()) {
@@ -134,5 +151,5 @@ int main(int raw_argc, char** raw_argv) {
                  loaded.status().ToString().c_str());
     return 1;
   }
-  return Run(loaded.value(), vertices, request);
+  return Run(loaded.value(), vertices.value(), request);
 }

@@ -19,6 +19,23 @@
 
 namespace mhbc {
 
+namespace {
+
+/// Batch size of the adaptive iid budgets, and the first chain length of
+/// the adaptive chain budgets (which then double).
+constexpr std::uint64_t kAdaptiveBatch = 128;
+/// kSamples budgets split into up to this many batches so the report
+/// carries a standard error. For the iid source samplers batching only
+/// regroups one sample stream; for the RK credit vector the batches are
+/// independently seeded (what lets it build in parallel), so this count is
+/// part of the RK sampling plan.
+constexpr std::uint64_t kReportBatches = 16;
+/// Double-sweep probes for the cached vertex-diameter estimate backing
+/// TopK's VC sample bound.
+constexpr std::uint32_t kDiameterProbes = 4;
+
+}  // namespace
+
 // ------------------------------------------------------------- registry
 
 namespace {
@@ -202,9 +219,9 @@ const std::vector<double>& BetweennessEngine::exact_scores() {
 std::uint32_t BetweennessEngine::vertex_diameter(std::uint64_t seed) {
   if (!vertex_diameter_.has_value() || diameter_seed_ != seed) {
     vertex_diameter_ =
-        ApproxVertexDiameter(*graph_, options_.diameter_probes, seed);
+        ApproxVertexDiameter(*graph_, kDiameterProbes, seed);
     diameter_seed_ = seed;
-    extra_passes_ += 2ull * options_.diameter_probes;  // double-sweep probes
+    extra_passes_ += 2ull * kDiameterProbes;  // double-sweep probes
   }
   return *vertex_diameter_;
 }
@@ -218,7 +235,7 @@ const BetweennessEngine::RkCredit& BetweennessEngine::EnsureRkCredit(
   }
   *served_from_cache = false;
   const std::uint64_t batches = std::max<std::uint64_t>(
-      1, std::min(options_.report_batches, samples));
+      1, std::min(kReportBatches, samples));
   const std::uint64_t base = samples / batches;
   const std::uint64_t extra = samples % batches;
   // Each batch runs a sampler stream seeded purely from (seed, batch
@@ -369,8 +386,8 @@ namespace {
 
 /// Fills value / acceptance / ESS / std-error of a report from one chain
 /// run. kMetropolisHastings reads the Eq. 7 chain average (standard error
-/// via the Geyer ESS, as in core/adaptive.h); kMhRaoBlackwell reads the
-/// unbiased proposal average (its terms are iid, so plain sqrt(T) SE).
+/// via the Geyer ESS); kMhRaoBlackwell reads the unbiased proposal average
+/// (its terms are iid, so plain sqrt(T) SE).
 void FillChainReport(const MhResult& result, EstimatorKind kind,
                      EstimateReport* report) {
   report->acceptance_rate = result.diagnostics.acceptance_rate();
@@ -391,22 +408,29 @@ void FillChainReport(const MhResult& result, EstimatorKind kind,
   }
 }
 
+/// The stop rule of the kDeadline / kStandardError budgets, checked by both
+/// serving loops after each chain or batch with `used` samples behind the
+/// report: a met standard-error target (`target_met`) or a passed deadline
+/// stops converged; reaching max_samples first stops, unconverged under a
+/// standard-error budget.
+bool AdaptiveBudgetSpent(const EstimateRequest& request,
+                         const WallTimer& timer, bool target_met,
+                         std::uint64_t used, EstimateReport* report) {
+  const bool se_mode = request.budget == BudgetKind::kStandardError;
+  if (se_mode ? target_met
+              : timer.ElapsedSeconds() >= request.deadline_seconds) {
+    return true;
+  }
+  if (used < request.max_samples) return false;
+  report->converged = !se_mode;
+  return true;
+}
+
 }  // namespace
 
 double BetweennessEngine::RunBatch(EstimatorKind kind, VertexId r,
-                                   std::uint64_t count, MhResult* chain_out) {
+                                   std::uint64_t count) {
   switch (kind) {
-    case EstimatorKind::kExact:
-      return exact_scores()[r];
-    case EstimatorKind::kMetropolisHastings:
-    case EstimatorKind::kMhRaoBlackwell: {
-      MhResult result = mh_sampler()->Run(r, count);
-      const double value = kind == EstimatorKind::kMetropolisHastings
-                               ? result.estimate
-                               : result.proposal_estimate;
-      if (chain_out != nullptr) *chain_out = std::move(result);
-      return value;
-    }
     case EstimatorKind::kUniformSource:
       return uniform_sampler()->Estimate(r, count);
     case EstimatorKind::kDistanceProportional:
@@ -415,123 +439,44 @@ double BetweennessEngine::RunBatch(EstimatorKind kind, VertexId r,
       return rk_sampler()->Estimate(r, count);
     case EstimatorKind::kLinearScaling:
       return geisberger_sampler()->Estimate(r, count);
-  }
-  MHBC_DCHECK(false);
-  return 0.0;
-}
-
-void BetweennessEngine::ServeSamplesBudget(VertexId r,
-                                           const EstimateRequest& request,
-                                           EstimateReport* report) {
-  const EstimatorKind kind = request.kind;
-  if (kind == EstimatorKind::kExact) {
-    report->cache_hit = exact_ready_;
-    report->value = exact_scores()[r];
-    return;
-  }
-  if (kind == EstimatorKind::kMetropolisHastings ||
-      kind == EstimatorKind::kMhRaoBlackwell) {
-    MhBetweennessSampler* sampler = mh_sampler();
-    sampler->Reset(request.seed);
-    const MhResult result = sampler->Run(r, request.samples);
-    FillChainReport(result, kind, report);
-    report->samples_used = request.samples;
-    return;
-  }
-  if (kind == EstimatorKind::kShortestPath) {
-    // A credit vector from an earlier query (or TopK) serves any vertex at
-    // zero passes, with the statistics the build computed for it.
-    bool served_from_cache = false;
-    const RkCredit& credit =
-        EnsureRkCredit(request.samples, request.seed, &served_from_cache);
-    report->cache_hit = served_from_cache;
-    report->value = credit.values[r];
-    report->samples_used = request.samples;
-    report->ess = static_cast<double>(request.samples);
-    report->std_error = credit.std_errors[r];
-    return;
-  }
-
-  // iid source samplers: split the budget into near-equal batches so the
-  // report carries a standard error; the weighted batch mean regroups the
-  // exact same sample stream, so the estimate matches a single full call.
-  switch (kind) {
-    case EstimatorKind::kUniformSource:
-      uniform_sampler()->Reset(request.seed);
-      break;
-    case EstimatorKind::kDistanceProportional:
-      distance_sampler()->Reset(request.seed);
-      break;
-    case EstimatorKind::kLinearScaling:
-      geisberger_sampler()->Reset(request.seed);
-      break;
     default:
       MHBC_DCHECK(false);
-  }
-  const std::uint64_t batches = std::max<std::uint64_t>(
-      1, std::min(options_.report_batches, request.samples));
-  const std::uint64_t base = request.samples / batches;
-  const std::uint64_t extra = request.samples % batches;
-  double weighted_sum = 0.0;
-  RunningStats batch_means;
-  for (std::uint64_t b = 0; b < batches; ++b) {
-    const std::uint64_t size = base + (b < extra ? 1 : 0);
-    const double estimate = RunBatch(kind, r, size, nullptr);
-    weighted_sum += estimate * static_cast<double>(size);
-    batch_means.Add(estimate);
-  }
-  report->value = weighted_sum / static_cast<double>(request.samples);
-  report->samples_used = request.samples;
-  report->ess = static_cast<double>(request.samples);
-  if (batch_means.count() >= 2) {
-    report->std_error = batch_means.stddev() /
-                        std::sqrt(static_cast<double>(batch_means.count()));
+      return 0.0;
   }
 }
 
-void BetweennessEngine::ServeAdaptiveBudget(VertexId r,
-                                            const EstimateRequest& request,
-                                            EstimateReport* report) {
+void BetweennessEngine::ServeChain(VertexId r, const EstimateRequest& request,
+                                   EstimateReport* report) {
+  // kSamples runs one chain of `samples` iterations. The adaptive budgets
+  // re-run chains of doubling length from kAdaptiveBatch, reseeding before
+  // every run so each chain is a pure function of (seed, length): the final
+  // report is reproducible as a kSamples request with samples=samples_used
+  // and the same seed. Total iterations stay within 2x the final chain
+  // length, and replayed prefixes hit the dependency memo.
   WallTimer timer;
-  const bool se_mode = request.budget == BudgetKind::kStandardError;
-  const EstimatorKind kind = request.kind;
-
-  if (kind == EstimatorKind::kMetropolisHastings ||
-      kind == EstimatorKind::kMhRaoBlackwell) {
-    // Doubling re-runs, as in core/adaptive.h. Reseeding before every
-    // run makes each chain a pure function of (seed, budget): the
-    // converged report is reproducible as a kSamples request with
-    // samples=samples_used and the same seed. Total iterations stay
-    // within 2x the final chain length (and replayed prefixes hit the
-    // dependency memo, so the pass cost of re-running is small).
-    MhBetweennessSampler* sampler = mh_sampler();
-    std::uint64_t budget =
-        std::min(std::max<std::uint64_t>(options_.initial_batch, 2),
-                 request.max_samples);
-    while (true) {
-      sampler->Reset(request.seed);
-      const MhResult result = sampler->Run(r, budget);
-      FillChainReport(result, kind, report);
-      report->samples_used = budget;
-      if (se_mode && report->std_error <= request.target_std_error) {
-        report->converged = true;
-        return;
-      }
-      if (!se_mode &&
-          timer.ElapsedSeconds() >= request.deadline_seconds) {
-        return;  // deadline reached; converged stays true
-      }
-      if (budget >= request.max_samples) {
-        report->converged = !se_mode;
-        return;
-      }
-      budget = std::min(budget * 2, request.max_samples);
+  MhBetweennessSampler* sampler = mh_sampler();
+  const bool fixed = request.budget == BudgetKind::kSamples;
+  std::uint64_t length =
+      fixed ? request.samples : std::min(kAdaptiveBatch, request.max_samples);
+  while (true) {
+    sampler->Reset(request.seed);
+    FillChainReport(sampler->Run(r, length), request.kind, report);
+    report->samples_used = length;
+    if (fixed ||
+        AdaptiveBudgetSpent(request, timer,
+                            report->std_error <= request.target_std_error,
+                            length, report)) {
+      return;
     }
+    length = std::min(length * 2, request.max_samples);
   }
+}
 
-  // iid kinds: accumulate fixed-size batches (the weighted mean equals a
-  // single call of the total size; batch means feed the stop rule).
-  switch (kind) {
+void BetweennessEngine::ServeBatches(VertexId r,
+                                     const EstimateRequest& request,
+                                     EstimateReport* report) {
+  WallTimer timer;
+  switch (request.kind) {
     case EstimatorKind::kUniformSource:
       uniform_sampler()->Reset(request.seed);
       break;
@@ -547,20 +492,26 @@ void BetweennessEngine::ServeAdaptiveBudget(VertexId r,
     default:
       MHBC_DCHECK(false);
   }
+  // kSamples splits the budget into up to kReportBatches near-equal batches
+  // so the report carries a standard error; the adaptive budgets draw
+  // kAdaptiveBatch-sample batches until the stop rule fires. Either way the
+  // weighted batch mean regroups one sample stream, so the estimate equals
+  // a single call of the total size, and the batch means give the error.
+  const bool fixed = request.budget == BudgetKind::kSamples;
+  const std::uint64_t batches =
+      std::max<std::uint64_t>(1, std::min(kReportBatches, request.samples));
+  const std::uint64_t base = request.samples / batches;
+  const std::uint64_t extra = request.samples % batches;
   double weighted_sum = 0.0;
   std::uint64_t total = 0;
   RunningStats batch_means;
   while (true) {
-    const std::uint64_t batch = std::min(
-        std::max<std::uint64_t>(options_.initial_batch, 1),
-        request.max_samples - total);
-    if (batch == 0) {
-      report->converged = !se_mode;
-      return;
-    }
-    const double estimate = RunBatch(kind, r, batch, nullptr);
-    weighted_sum += estimate * static_cast<double>(batch);
-    total += batch;
+    const std::uint64_t size =
+        fixed ? base + (batch_means.count() < extra ? 1 : 0)
+              : std::min(kAdaptiveBatch, request.max_samples - total);
+    const double estimate = RunBatch(request.kind, r, size);
+    weighted_sum += estimate * static_cast<double>(size);
+    total += size;
     batch_means.Add(estimate);
     report->value = weighted_sum / static_cast<double>(total);
     report->samples_used = total;
@@ -569,14 +520,13 @@ void BetweennessEngine::ServeAdaptiveBudget(VertexId r,
       report->std_error = batch_means.stddev() /
                           std::sqrt(static_cast<double>(batch_means.count()));
     }
-    if (se_mode) {
-      if (batch_means.count() >= 3 &&
-          report->std_error <= request.target_std_error) {
-        report->converged = true;
-        return;
-      }
-    } else if (timer.ElapsedSeconds() >= request.deadline_seconds) {
-      return;  // deadline reached; converged stays true
+    if (fixed ? total == request.samples
+              : AdaptiveBudgetSpent(
+                    request, timer,
+                    batch_means.count() >= 3 &&
+                        report->std_error <= request.target_std_error,
+                    total, report)) {
+      return;
     }
   }
 }
@@ -593,11 +543,25 @@ StatusOr<EstimateReport> BetweennessEngine::Estimate(
   const std::uint64_t hits_before = dependency_cache_hits();
   WallTimer timer;
 
-  if (request.kind == EstimatorKind::kExact ||
-      request.budget == BudgetKind::kSamples) {
-    ServeSamplesBudget(r, request, &report);
+  if (request.kind == EstimatorKind::kExact) {
+    report.cache_hit = exact_ready_;
+    report.value = exact_scores()[r];
+  } else if (FindEstimator(request.kind)->chain_based) {
+    ServeChain(r, request, &report);
+  } else if (request.kind == EstimatorKind::kShortestPath &&
+             request.budget == BudgetKind::kSamples) {
+    // A credit vector from an earlier query (or TopK) serves any vertex at
+    // zero passes, with the statistics the build computed for it.
+    bool served_from_cache = false;
+    const RkCredit& credit =
+        EnsureRkCredit(request.samples, request.seed, &served_from_cache);
+    report.cache_hit = served_from_cache;
+    report.value = credit.values[r];
+    report.samples_used = request.samples;
+    report.ess = static_cast<double>(request.samples);
+    report.std_error = credit.std_errors[r];
   } else {
-    ServeAdaptiveBudget(r, request, &report);
+    ServeBatches(r, request, &report);
   }
 
   report.seconds = timer.ElapsedSeconds();

@@ -113,11 +113,12 @@ class ThreadPool;
 enum class BudgetKind {
   /// Spend exactly `samples` samples / chain iterations (kExact: n/a).
   kSamples,
-  /// Keep sampling in batches until `deadline_seconds` of wall clock.
+  /// Keep sampling until `deadline_seconds` of wall clock.
   kDeadline,
-  /// Keep sampling in batches until the estimate's standard error drops
-  /// to `target_std_error` (or `max_samples` is hit); KADABRA-style
-  /// adaptivity driven by batch means / chain ESS (see core/adaptive.h).
+  /// Keep sampling until the estimate's standard error drops to
+  /// `target_std_error` (or `max_samples` is hit); KADABRA-style
+  /// adaptivity driven by batch means / chain ESS. Chain estimators re-run
+  /// doubling chains, the iid kinds draw fixed-size batches.
   kStandardError,
 };
 
@@ -180,20 +181,6 @@ struct EngineOptions {
   /// (capped at n entries — beyond that every source is already
   /// memoized). 0 disables cross-query pass reuse.
   std::size_t dependency_cache_bytes = std::size_t{256} << 20;  // 256 MiB
-  /// Double-sweep probes for the cached vertex-diameter estimate backing
-  /// TopK's VC sample bound.
-  std::uint32_t diameter_probes = 4;
-  /// First batch size for kDeadline / kStandardError budgets (the total
-  /// doubles until the stop rule fires).
-  std::uint64_t initial_batch = 128;
-  /// kSamples budgets are split into up to this many equal batches so the
-  /// report carries a standard error. For the iid source samplers batching
-  /// only regroups one sample stream, so the estimate is invariant to this
-  /// knob; for kShortestPath the batches are independently seeded (that is
-  /// what lets the credit vector build in parallel), so this knob is part
-  /// of the RK sampling plan — changing it redraws the paths. For fixed
-  /// options every estimate is deterministic at any thread count.
-  std::uint64_t report_batches = 16;
   /// Worker threads for the engine's two parallel builds: the exact
   /// Brandes scores and the RK credit batches. 0 = one per hardware
   /// thread, 1 = fully sequential. Statistical report fields are
@@ -350,17 +337,20 @@ class BetweennessEngine {
   const RkCredit& EnsureRkCredit(std::uint64_t samples, std::uint64_t seed,
                                  bool* served_from_cache);
 
-  /// Runs `count` more samples of `kind` for vertex r, continuing the
-  /// current sampler stream, and returns the batch estimate. Chain kinds
-  /// run one fresh chain of `count` iterations (`chain_out` receives its
-  /// full result).
-  double RunBatch(EstimatorKind kind, VertexId r, std::uint64_t count,
-                  MhResult* chain_out);
+  /// Runs `count` more samples of iid `kind` for vertex r, continuing the
+  /// current sampler stream, and returns the batch estimate.
+  double RunBatch(EstimatorKind kind, VertexId r, std::uint64_t count);
 
-  void ServeSamplesBudget(VertexId r, const EstimateRequest& request,
-                          EstimateReport* report);
-  void ServeAdaptiveBudget(VertexId r, const EstimateRequest& request,
-                           EstimateReport* report);
+  /// The two serving loops, one per estimator family, each running every
+  /// budget under one stop rule. ServeChain serves mh / mh-rb: one chain
+  /// for kSamples, reseeded doubling chains for the adaptive budgets.
+  /// ServeBatches serves the iid source samplers, and RK under adaptive
+  /// budgets: near-equal batches for kSamples, fixed-size batches until
+  /// the stop rule fires otherwise.
+  void ServeChain(VertexId r, const EstimateRequest& request,
+                  EstimateReport* report);
+  void ServeBatches(VertexId r, const EstimateRequest& request,
+                    EstimateReport* report);
 
   const CsrGraph* graph_;
   EngineOptions options_;

@@ -28,12 +28,6 @@ struct RawEdge {
 StatusOr<CsrGraph> ParseEdgeList(std::istream& in,
                                  const EdgeListOptions& options) {
   if (options.stats != nullptr) *options.stats = EdgeListStats{};
-  if (!options.directed && !options.symmetrize) {
-    return Status::InvalidArgument(
-        "symmetrize=false requires directed=true (an undirected build "
-        "merges reverse duplicates by construction; set directed to keep "
-        "edge orientation)");
-  }
   std::vector<RawEdge> raw_edges;
   std::unordered_map<std::uint64_t, VertexId> id_map;
   EdgeListStats stats;
@@ -201,12 +195,6 @@ StatusOr<std::vector<VertexId>> ParseVertexIdListStrict(
     return Status::InvalidArgument("no vertex ids given");
   }
   return ids;
-}
-
-std::vector<VertexId> ParseVertexIdList(const std::string& csv) {
-  auto strict = ParseVertexIdListStrict(csv);
-  if (!strict.ok()) return {};
-  return std::move(strict).value();
 }
 
 }  // namespace mhbc

@@ -15,7 +15,7 @@
 /// (non-dense, possibly directed-duplicated) vertex ids. LoadSnapEdgeList
 /// accepts exactly that shape so the real datasets drop in unchanged; the
 /// loader remaps ids to dense [0, n) and ignores self-loops. Orientation
-/// handling is explicit (EdgeListOptions::directed / ::symmetrize): the
+/// handling is explicit (EdgeListOptions::directed): the
 /// default load symmetrizes — every line becomes an undirected edge and
 /// reverse duplicates merge — and a directed load keeps each line as the
 /// arc u→v. Either way EdgeListStats reports how many mirrored pairs the
@@ -57,16 +57,10 @@ struct EdgeListOptions {
   bool largest_component_only = false;
   /// Parse each line as the directed arc u→v and build a directed graph
   /// (reciprocal lines stay distinct arcs; duplicate identical arcs still
-  /// merge). When false the load is undirected per `symmetrize` below.
+  /// merge). When false the load is undirected: reverse-oriented
+  /// duplicates ("1 2" and "2 1") fold into one edge, the historical
+  /// SNAP-loader behavior.
   bool directed = false;
-  /// Undirected loads only: merge reverse-oriented duplicates ("1 2" and
-  /// "2 1") into one undirected edge. This is the historical SNAP-loader
-  /// behavior, now an explicit named decision; it must stay true on an
-  /// undirected load (an undirected build merges reverse duplicates by
-  /// construction, so directed=false with symmetrize=false is rejected as
-  /// InvalidArgument — set directed=true to keep orientation). Ignored
-  /// when directed.
-  bool symmetrize = true;
   /// When non-null, filled with the parse counters (always written, even
   /// on a load that later fails in the builder).
   EdgeListStats* stats = nullptr;
@@ -97,11 +91,6 @@ bool ParseEdgeWeight(const std::string& token, double* weight);
 /// protocol (serve/request_fields.h), so both surfaces reject identical
 /// inputs with identical messages.
 StatusOr<std::vector<VertexId>> ParseVertexIdListStrict(const std::string& csv);
-
-/// Legacy loose shape of ParseVertexIdListStrict: any parse error
-/// collapses to an empty result. Prefer the strict variant — it says
-/// *why* the list was rejected.
-std::vector<VertexId> ParseVertexIdList(const std::string& csv);
 
 /// Writes "u v [w]" lines (u < v undirected; one line per arc u→v, in
 /// CSR order, directed — the header comment then carries a "directed"

@@ -136,7 +136,7 @@ std::uint32_t ApproxVertexDiameter(const CsrGraph& graph,
 
 GraphStats ComputeGraphStats(const CsrGraph& graph,
                              VertexId exact_diameter_limit,
-                             std::uint32_t diameter_probes,
+                             std::uint32_t sweep_probes,
                              std::uint64_t seed) {
   GraphStats stats;
   stats.name = graph.name();
@@ -174,7 +174,7 @@ GraphStats ComputeGraphStats(const CsrGraph& graph,
     stats.diameter = ExactDiameter(graph);
     stats.exact_diameter = true;
   } else {
-    stats.diameter = DiameterLowerBound(graph, diameter_probes, seed);
+    stats.diameter = DiameterLowerBound(graph, sweep_probes, seed);
     stats.exact_diameter = false;
   }
   return stats;

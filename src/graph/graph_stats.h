@@ -46,12 +46,12 @@ double GlobalClusteringCoefficient(const CsrGraph& graph);
 double AverageLocalClustering(const CsrGraph& graph);
 
 /// Computes stats. Diameter is exact when n <= `exact_diameter_limit`
-/// (all-BFS), otherwise a lower bound from `diameter_probes` double-sweep
+/// (all-BFS), otherwise a lower bound from `sweep_probes` double-sweep
 /// BFS probes. Hop-count diameter is reported even for weighted graphs (it
 /// is the quantity the samplers' VC bound uses).
 GraphStats ComputeGraphStats(const CsrGraph& graph,
                              VertexId exact_diameter_limit = 2048,
-                             std::uint32_t diameter_probes = 8,
+                             std::uint32_t sweep_probes = 8,
                              std::uint64_t seed = 0x5eed);
 
 /// Exact hop diameter by BFS from every vertex. O(nm); small graphs only.

@@ -47,6 +47,18 @@ StatusOr<std::uint64_t> ParseCountField(const std::string& name,
   return static_cast<std::uint64_t>(value);
 }
 
+StatusOr<double> ParseRealField(const std::string& name,
+                                const std::string& text) {
+  char* end = nullptr;
+  const double value = std::strtod(text.c_str(), &end);
+  if (text.empty() || end != text.c_str() + text.size() ||
+      !std::isfinite(value)) {
+    return Status::InvalidArgument(name + " expects a finite number, got '" +
+                                   text + "'");
+  }
+  return value;
+}
+
 StatusOr<EstimatorKind> ParseEstimatorField(const std::string& name) {
   EstimatorKind kind = EstimatorKind::kMetropolisHastings;
   if (!ParseEstimatorKind(name, &kind)) {

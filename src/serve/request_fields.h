@@ -43,6 +43,14 @@ StatusOr<std::uint64_t> ParseCountField(const std::string& name,
                                         const std::string& text,
                                         std::uint64_t max);
 
+/// Real-valued field (eps, delta, generator probabilities, bench
+/// tuning values): the whole token must parse as a finite double, so
+/// "0.1x", "abc", "inf", "nan" and an overflowing "1e999" all fail
+/// ("eps expects a finite number, got '0.1x'"). Range checks stay with
+/// the caller.
+StatusOr<double> ParseRealField(const std::string& name,
+                                const std::string& text);
+
 /// Estimator registry lookup with the uniform unknown-name message
 /// ("unknown estimator 'x' ...").
 StatusOr<EstimatorKind> ParseEstimatorField(const std::string& name);

@@ -241,10 +241,14 @@ std::string Server::ExecuteEstimate(Job& job, GraphEntry& entry) {
       return ErrorFor(request, ServeErrorClass::kDeadline,
                       "deadline expired before execution began");
     }
-    // The remaining wall budget becomes the engine's stop rule; the
-    // requested sample count becomes the ceiling, so a generous deadline
-    // reproduces the kSamples answer and a tight one returns a partial
-    // report (flagged below) instead of an error.
+    // The remaining wall budget becomes the engine's stop rule and the
+    // requested sample count its ceiling, so a tight deadline returns a
+    // partial report (flagged below) instead of an error. A generous one
+    // reproduces the kSamples answer for the chain estimators only: the
+    // iid kinds then draw 128-sample batches rather than kSamples' 16-way
+    // split, so their std_error differs, and rk samples one path stream
+    // rather than the credit vector's seeded batches, so its value can
+    // differ too.
     engine_request.budget = BudgetKind::kDeadline;
     engine_request.deadline_seconds = remaining_seconds;
     engine_request.max_samples = request.samples;

@@ -1,9 +1,8 @@
-#include "core/adaptive.h"
-
 #include <gtest/gtest.h>
 
 #include <cmath>
 
+#include "centrality/engine.h"
 #include "core/theory.h"
 #include "exact/brandes.h"
 #include "graph/generators.h"
@@ -11,66 +10,74 @@
 namespace mhbc {
 namespace {
 
+// The standard-error budget on the paper's chain: doubling re-runs stop
+// once z * std_error <= eps, i.e. std_error <= eps / z.
+EstimateRequest AdaptiveChainRequest(double eps, std::uint64_t seed) {
+  EstimateRequest request;
+  request.kind = EstimatorKind::kMetropolisHastings;
+  request.budget = BudgetKind::kStandardError;
+  request.target_std_error = eps / request.z;
+  request.seed = seed;
+  return request;
+}
+
 TEST(AdaptiveTest, ConvergesOnSeparatorTarget) {
   const CsrGraph g = MakeBarbell(10, 1);
   const VertexId bridge = 10;
-  AdaptiveOptions options;
-  options.seed = 3;
-  options.epsilon = 0.02;
-  const AdaptiveResult result = AdaptiveMhEstimate(g, bridge, options);
-  EXPECT_TRUE(result.converged);
-  EXPECT_LE(result.half_width, options.epsilon);
+  const double eps = 0.02;
+  const auto result =
+      BetweennessEngine(g).Estimate(bridge, AdaptiveChainRequest(eps, 3));
+  ASSERT_TRUE(result.ok());
+  EXPECT_TRUE(result.value().converged);
+  EXPECT_LE(result.value().ci_half_width, eps);
   const double limit = ChainLimitEstimate(DependencyProfile(g, bridge));
-  EXPECT_NEAR(result.estimate, limit, 3 * options.epsilon);
+  EXPECT_NEAR(result.value().value, limit, 3 * eps);
 }
 
 TEST(AdaptiveTest, TighterEpsilonCostsMoreIterations) {
   const CsrGraph g = MakeConnectedCaveman(5, 8);
   const VertexId gateway = 7;
-  AdaptiveOptions loose;
-  loose.seed = 5;
-  loose.epsilon = 0.1;
-  AdaptiveOptions tight = loose;
-  tight.epsilon = 0.01;
-  const AdaptiveResult a = AdaptiveMhEstimate(g, gateway, loose);
-  const AdaptiveResult b = AdaptiveMhEstimate(g, gateway, tight);
-  EXPECT_TRUE(a.converged);
-  EXPECT_TRUE(b.converged);
-  EXPECT_GE(b.iterations, a.iterations);
+  BetweennessEngine engine(g);
+  const auto a = engine.Estimate(gateway, AdaptiveChainRequest(0.1, 5));
+  const auto b = engine.Estimate(gateway, AdaptiveChainRequest(0.01, 5));
+  ASSERT_TRUE(a.ok());
+  ASSERT_TRUE(b.ok());
+  EXPECT_TRUE(a.value().converged);
+  EXPECT_TRUE(b.value().converged);
+  EXPECT_GE(b.value().samples_used, a.value().samples_used);
 }
 
 TEST(AdaptiveTest, RespectsMaxIterationCap) {
   const CsrGraph g = MakeBarabasiAlbert(100, 2, 7);
-  AdaptiveOptions options;
-  options.seed = 9;
-  options.epsilon = 1e-9;  // unreachable precision
-  options.max_iterations = 512;
-  const AdaptiveResult result = AdaptiveMhEstimate(g, 0, options);
-  EXPECT_FALSE(result.converged);
-  EXPECT_EQ(result.iterations, 512u);
+  EstimateRequest request = AdaptiveChainRequest(1e-9, 9);  // unreachable
+  request.max_samples = 512;
+  const auto result = BetweennessEngine(g).Estimate(0, request);
+  ASSERT_TRUE(result.ok());
+  EXPECT_FALSE(result.value().converged);
+  EXPECT_EQ(result.value().samples_used, 512u);
 }
 
 TEST(AdaptiveTest, ZeroScoreTargetConvergesImmediately) {
-  // All f-values are 0: the CI collapses at the first batch.
+  // All f-values are 0: the CI collapses at the first chain, whose length
+  // is the engine's first adaptive batch (128).
   const CsrGraph g = MakeStar(12);
-  AdaptiveOptions options;
-  options.seed = 11;
-  options.epsilon = 0.05;
-  const AdaptiveResult result = AdaptiveMhEstimate(g, /*leaf=*/3, options);
-  EXPECT_TRUE(result.converged);
-  EXPECT_EQ(result.iterations, options.initial_batch);
-  EXPECT_DOUBLE_EQ(result.estimate, 0.0);
+  const auto result = BetweennessEngine(g).Estimate(
+      /*leaf=*/3, AdaptiveChainRequest(0.05, 11));
+  ASSERT_TRUE(result.ok());
+  EXPECT_TRUE(result.value().converged);
+  EXPECT_EQ(result.value().samples_used, 128u);
+  EXPECT_DOUBLE_EQ(result.value().value, 0.0);
 }
 
 TEST(AdaptiveTest, DeterministicForSeed) {
   const CsrGraph g = MakeConnectedCaveman(4, 6);
-  AdaptiveOptions options;
-  options.seed = 13;
-  options.epsilon = 0.05;
-  const AdaptiveResult a = AdaptiveMhEstimate(g, 5, options);
-  const AdaptiveResult b = AdaptiveMhEstimate(g, 5, options);
-  EXPECT_EQ(a.iterations, b.iterations);
-  EXPECT_DOUBLE_EQ(a.estimate, b.estimate);
+  const EstimateRequest request = AdaptiveChainRequest(0.05, 13);
+  const auto a = BetweennessEngine(g).Estimate(5, request);
+  const auto b = BetweennessEngine(g).Estimate(5, request);
+  ASSERT_TRUE(a.ok());
+  ASSERT_TRUE(b.ok());
+  EXPECT_EQ(a.value().samples_used, b.value().samples_used);
+  EXPECT_DOUBLE_EQ(a.value().value, b.value().value);
 }
 
 }  // namespace

@@ -618,16 +618,6 @@ TEST(DirectedEdgeListTest, MirroredPairStatsAndSymmetrizePolicy) {
     EXPECT_EQ(graph.value().num_edges(), 3u);  // reciprocal arcs distinct
   }
   EXPECT_EQ(stats.mirrored_pairs, 1u);
-
-  // Refusing to symmetrize only makes sense directed; undirected it is a
-  // contradiction the loader must reject rather than silently fold.
-  EdgeListOptions contradictory;
-  contradictory.symmetrize = false;
-  std::istringstream in(text);
-  auto rejected = ParseEdgeList(in, contradictory);
-  ASSERT_FALSE(rejected.ok());
-  EXPECT_NE(rejected.status().message().find("directed"), std::string::npos)
-      << rejected.status().message();
 }
 
 TEST_F(DirectedFileTest, WriteEdgeListDirectedRoundTrips) {

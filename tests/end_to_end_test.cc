@@ -5,7 +5,6 @@
 #include <sstream>
 
 #include "centrality/engine.h"
-#include "core/adaptive.h"
 #include "datasets/registry.h"
 #include "exact/brandes.h"
 #include "graph/generators.h"
@@ -77,13 +76,16 @@ TEST(EndToEndTest, RegistryDatasetThroughJointRanking) {
 
 TEST(EndToEndTest, AdaptiveOnLoadedGraphMatchesChainLimit) {
   const CsrGraph graph = std::move(MakeDataset("caveman-36")).value();
-  AdaptiveOptions options;
-  options.seed = 0xADA;
-  options.epsilon = 0.02;
-  const AdaptiveResult result = AdaptiveMhEstimate(graph, /*gateway=*/8, options);
-  EXPECT_TRUE(result.converged);
-  EXPECT_GT(result.estimate, 0.0);
-  EXPECT_LT(result.estimate, 1.0);
+  EstimateRequest request;
+  request.kind = EstimatorKind::kMetropolisHastings;
+  request.budget = BudgetKind::kStandardError;
+  request.target_std_error = 0.02 / request.z;  // half-width 0.02
+  request.seed = 0xADA;
+  const auto result = BetweennessEngine(graph).Estimate(/*gateway=*/8, request);
+  ASSERT_TRUE(result.ok());
+  EXPECT_TRUE(result.value().converged);
+  EXPECT_GT(result.value().value, 0.0);
+  EXPECT_LT(result.value().value, 1.0);
 }
 
 TEST(EndToEndTest, TopKAgreesWithExactOnRegistryDataset) {

@@ -223,6 +223,19 @@ TEST_F(ToolCliTest, UnknownEstimatorAndBadVerticesFail) {
   ExpectFailure("estimate " + graph + " junk", "no vertex ids", kExitUsage);
   ExpectFailure("estimate " + graph + " 9999 mh 100", "out of range",
                 kExitCompute);
+  // Numbers parse whole: a trailing typo never truncates to a valid value.
+  ExpectFailure("exact " + graph + " abc", "non-negative integer",
+                kExitUsage);
+  ExpectFailure("exact " + graph + " 5x", "non-negative integer", kExitUsage);
+  ExpectFailure("topk " + graph + " 3x", "non-negative integer", kExitUsage);
+  ExpectFailure("topk " + graph + " 3 0.1x", "finite number", kExitUsage);
+  ExpectFailure("topk " + graph + " 3 0.1 inf", "finite number", kExitUsage);
+  const std::string out = Quote(Path("generated.txt"));
+  ExpectFailure("generate grid 4x 4 " + out, "non-negative integer",
+                kExitUsage);
+  ExpectFailure("generate er 20 0.5x 1 " + out, "finite number", kExitUsage);
+  ExpectFailure("generate ws 20 4 nan 1 " + out, "finite number", kExitUsage);
+  EXPECT_FALSE(fs::exists(Path("generated.txt")));
 }
 
 TEST_F(ToolCliTest, MutateRejectsMissingAndMalformedEditScripts) {
