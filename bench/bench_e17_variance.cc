@@ -11,7 +11,7 @@
 #include "core/theory.h"
 #include "core/variance.h"
 #include "datasets/registry.h"
-#include "sp/distance.h"
+#include "sp/bfs_spd.h"
 
 int main() {
   using namespace mhbc;
@@ -32,7 +32,9 @@ int main() {
       const double n = static_cast<double>(graph.num_vertices());
       const double bc = total / (n * (n - 1.0));
 
-      const auto dist = BfsDistances(graph, r);
+      BfsSpd bfs(graph);
+      bfs.Run(r);
+      const auto& dist = bfs.dag().dist;
       std::vector<double> weights(profile.size(), 0.0);
       for (VertexId v = 0; v < graph.num_vertices(); ++v) {
         if (v != r && dist[v] != kUnreachedDistance) {

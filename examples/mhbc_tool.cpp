@@ -68,7 +68,9 @@
 // Exit codes (asserted by tests/tool_cli_test.cc, so scripts can branch
 // on the failure class):
 //   0  success
-//   2  usage error — unknown command/flag/estimator, malformed arguments
+//   2  usage error — unknown command/flag/estimator, an estimator the
+//      graph rules out (e.g. geisberger on a directed graph), malformed
+//      arguments
 //   3  I/O error — unreadable/missing/corrupt input, unwritable output
 //   4  compute error — the engine rejected a well-formed request
 //      (vertex out of range, inapplicable edit script, ...)
@@ -132,7 +134,8 @@ void PrintTableOrJson(const mhbc::Table& table) {
 /// write a file" (io) from "the computation rejected the input" (compute).
 enum ExitCode : int {
   kExitOk = 0,
-  kExitUsage = 2,    // unknown command/flag/estimator, wrong arity, bad ids
+  kExitUsage = 2,    // unknown command/flag/estimator, an estimator the
+                     // graph rules out, wrong arity, bad ids
   kExitIo = 3,       // missing/unreadable/unwritable/corrupt files
   kExitCompute = 4,  // estimation or mutation failed on loadable input
 };
@@ -321,9 +324,11 @@ int CmdConvert(const std::string& in, const std::string& out) {
 }
 
 int CmdEstimators() {
-  mhbc::Table table({"name", "weighted", "chain", "description"});
+  mhbc::Table table(
+      {"name", "weighted", "directed", "chain", "description"});
   for (const mhbc::EstimatorEntry& entry : mhbc::EstimatorRegistry()) {
     table.AddRow({entry.name, entry.supports_weighted ? "yes" : "no",
+                  entry.supports_directed ? "yes" : "no",
                   entry.chain_based ? "yes" : "no", entry.summary});
   }
   PrintTableOrJson(table);
@@ -339,6 +344,11 @@ int CmdEstimate(const std::string& path, int argc, char** argv) {
   const std::string parse_error =
       ParseEstimateArgs(argc - 1, argv + 1, &request);
   if (!parse_error.empty()) return UsageError(parse_error);
+  // An estimator the registry rules out for this graph (e.g. geisberger
+  // on a directed one) is a usage error, like an unknown estimator name.
+  const mhbc::Status fits = mhbc::CheckEstimatorSupportsGraph(
+      *mhbc::FindEstimator(request.kind), source.value().graph());
+  if (!fits.ok()) return UsageError(fits.message());
   mhbc::BetweennessEngine engine(source.value().graph(), ToolEngineOptions());
   const auto reports = engine.EstimateMany(vertices.value(), request);
   if (!reports.ok()) return Fail(reports.status());
@@ -391,6 +401,9 @@ int CmdMutate(const std::string& path, int argc, char** argv) {
   const std::string parse_error =
       ParseEstimateArgs(argc - 2, argv + 2, &request);
   if (!parse_error.empty()) return UsageError(parse_error);
+  const mhbc::Status fits = mhbc::CheckEstimatorSupportsGraph(
+      *mhbc::FindEstimator(request.kind), source.value().graph());
+  if (!fits.ok()) return UsageError(fits.message());
 
   // One engine across the edit: the pre-edit pass warms the dependency
   // memo, ApplyDelta keeps every pass the edits do not touch, and the

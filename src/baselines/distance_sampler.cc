@@ -1,7 +1,5 @@
 #include "baselines/distance_sampler.h"
 
-#include "sp/distance.h"
-
 namespace mhbc {
 
 DistanceProportionalSampler::DistanceProportionalSampler(
@@ -15,21 +13,17 @@ DistanceProportionalSampler::DistanceProportionalSampler(
 void DistanceProportionalSampler::PrepareTarget(VertexId r) {
   if (prepared_target_ == r) return;
   const VertexId n = graph_->num_vertices();
+  // The distance table costs one real, counted oracle pass from r.
+  const ShortestPathDag& dag = oracle_->RunPass(r);
   std::vector<double> weights(n, 0.0);
-  if (graph_->weighted()) {
-    const std::vector<double> dist = DijkstraDistances(*graph_, r);
-    for (VertexId v = 0; v < n; ++v) {
-      if (v != r && dist[v] > 0.0) weights[v] = dist[v];
-    }
-  } else {
-    const std::vector<std::uint32_t> dist = BfsDistances(*graph_, r);
-    for (VertexId v = 0; v < n; ++v) {
-      if (v != r && dist[v] != kUnreachedDistance) {
-        weights[v] = static_cast<double>(dist[v]);
-      }
+  for (VertexId v = 0; v < n; ++v) {
+    if (v == r) continue;
+    if (graph_->weighted()) {
+      if (dag.wdist[v] > 0.0) weights[v] = dag.wdist[v];
+    } else if (dag.dist[v] != kUnreachedDistance) {
+      weights[v] = static_cast<double>(dag.dist[v]);
     }
   }
-  oracle_->RecordSetupPasses(1);  // the distance pass above is real work
   table_ = std::make_unique<DiscreteSampler>(weights);
   probabilities_.assign(n, 0.0);
   for (VertexId v = 0; v < n; ++v) {

@@ -21,9 +21,13 @@ namespace mhbc {
 /// many topologies (and the estimator stays unbiased thanks to the
 /// importance weights delta / (P[s] * n(n-1))).
 ///
-/// Setup costs one distance pass from r (recorded in num_passes; cached
-/// between calls with the same r); each sample costs one shortest-path
-/// pass.
+/// Setup costs one oracle pass from r, whose DAG distances make the table
+/// (counted in num_passes; cached between calls with the same r); each
+/// sample costs one shortest-path pass.
+///
+/// Undirected graphs only: the table weights sources by d(r, s), so on a
+/// directed graph a source that only *reaches* r gets no mass and the
+/// estimate is biased. The engine registry rejects it there.
 ///
 /// Reuse contract: an instance may serve any number of Estimate calls for
 /// any targets; the proposal table is rebuilt only when the target
@@ -51,7 +55,7 @@ class DistanceProportionalSampler {
 
  private:
   /// (Re)builds the distance table for target r (cached between calls with
-  /// the same r). Records the distance pass with the oracle.
+  /// the same r) from one oracle pass.
   void PrepareTarget(VertexId r);
 
   const CsrGraph* graph_;

@@ -3,8 +3,13 @@
 namespace mhbc {
 
 GeisbergerSampler::GeisbergerSampler(const CsrGraph& graph,
-                                     std::uint64_t seed, SpdOptions spd)
-    : graph_(&graph), bfs_(graph, spd), rng_(seed) {
+                                     std::uint64_t seed,
+                                     DependencyOracle* shared_oracle)
+    : graph_(&graph),
+      owned_oracle_(shared_oracle ? nullptr
+                                  : std::make_unique<DependencyOracle>(graph)),
+      oracle_(shared_oracle ? shared_oracle : owned_oracle_.get()),
+      rng_(seed) {
   MHBC_DCHECK(!graph.weighted());
   MHBC_DCHECK(graph.num_vertices() >= 2);
   aux_.assign(graph.num_vertices(), 0.0);
@@ -12,9 +17,7 @@ GeisbergerSampler::GeisbergerSampler(const CsrGraph& graph,
 }
 
 const std::vector<double>& GeisbergerSampler::ScaledDependencies(VertexId s) {
-  bfs_.Run(s);
-  ++num_passes_;
-  const ShortestPathDag& dag = bfs_.dag();
+  const ShortestPathDag& dag = oracle_->RunPass(s);
   for (VertexId v : touched_) {
     aux_[v] = 0.0;
     scaled_[v] = 0.0;

@@ -1,10 +1,11 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
+#include "exact/dependency_oracle.h"
 #include "graph/csr_graph.h"
-#include "sp/bfs_spd.h"
 #include "util/rng.h"
 
 /// \file
@@ -16,18 +17,23 @@
 /// Unbiasedness: for an ordered pair (s,t) and an interior v, the two
 /// directions contribute d(s,v)/d(s,t) + d(t,v)/d(t,s) = 1 (v lies on a
 /// shortest path), so 2x the linear-scaled dependency summed over uniform
-/// sources has expectation equal to the raw betweenness.
+/// sources has expectation equal to the raw betweenness. That identity
+/// needs d(s,t) = d(t,s): on directed graphs the estimator is biased, and
+/// the engine registry rejects it there.
 
 namespace mhbc {
 
 /// Linear-scaling betweenness estimator for a single vertex.
 class GeisbergerSampler {
  public:
-  /// `spd` configures the BFS kernel; estimates are bit-identical across
-  /// α/β settings and thread counts (the scaled sweep runs in the
+  /// Graph must be unweighted and outlive the sampler. Passes run through
+  /// `shared_oracle` when non-null (bound to the same graph, outliving the
+  /// sampler; the scaled sweep reads its DAG and never its memo), else
+  /// through an owned default-tuned one. Estimates are bit-identical
+  /// across every SpdOptions setting (the scaled sweep runs in the
   /// canonical deepest-first order either way).
-  explicit GeisbergerSampler(const CsrGraph& graph, std::uint64_t seed,
-                             SpdOptions spd = SpdOptions());
+  GeisbergerSampler(const CsrGraph& graph, std::uint64_t seed,
+                    DependencyOracle* shared_oracle = nullptr);
 
   /// Paper-normalized estimate of BC(r) from `num_samples` uniform sources.
   /// Per sample: one BFS pass + one linear-scaled accumulation (O(|E|)).
@@ -37,7 +43,9 @@ class GeisbergerSampler {
   /// (reuse contract: consecutive Estimate calls continue one stream).
   void Reset(std::uint64_t seed) { rng_ = Rng(seed); }
 
-  std::uint64_t num_passes() const { return num_passes_; }
+  /// Total shortest-path passes consumed so far through this sampler's
+  /// oracle (a shared oracle also counts the other users' work).
+  std::uint64_t num_passes() const { return oracle_->num_passes(); }
 
  private:
   /// Linear-scaled dependency of source s on every vertex, via the
@@ -46,12 +54,12 @@ class GeisbergerSampler {
   const std::vector<double>& ScaledDependencies(VertexId s);
 
   const CsrGraph* graph_;
-  BfsSpd bfs_;
+  std::unique_ptr<DependencyOracle> owned_oracle_;
+  DependencyOracle* oracle_;
   Rng rng_;
   std::vector<double> aux_;     // A(v)
   std::vector<double> scaled_;  // delta'(v)
   std::vector<VertexId> touched_;
-  std::uint64_t num_passes_ = 0;
 };
 
 }  // namespace mhbc

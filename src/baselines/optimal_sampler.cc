@@ -1,7 +1,5 @@
 #include "baselines/optimal_sampler.h"
 
-#include "exact/brandes.h"
-
 namespace mhbc {
 
 OptimalSampler::OptimalSampler(const CsrGraph& graph, std::uint64_t seed,
@@ -14,8 +12,12 @@ OptimalSampler::OptimalSampler(const CsrGraph& graph, std::uint64_t seed,
 
 void OptimalSampler::PrepareTarget(VertexId r) {
   if (prepared_target_ == r) return;
-  const std::vector<double> profile = DependencyProfile(*graph_, r);
-  oracle_->RecordSetupPasses(graph_->num_vertices());  // one per source
+  // The dependency profile [delta_{v.}(r)] over all sources v: one oracle
+  // pass per source (memo hits, when the oracle caches, cost none).
+  std::vector<double> profile(graph_->num_vertices(), 0.0);
+  for (VertexId v = 0; v < graph_->num_vertices(); ++v) {
+    profile[v] = oracle_->Dependency(v, r);
+  }
   raw_betweenness_ = 0.0;
   for (double d : profile) raw_betweenness_ += d;
   MHBC_DCHECK(raw_betweenness_ > 0.0);

@@ -24,7 +24,7 @@ namespace mhbc {
 /// Zero-variance reference sampler (needs O(nm) setup per target).
 ///
 /// Reuse contract: serves repeated Estimate calls for any targets (the
-/// Eq. 5 table is rebuilt only on target change, n recorded setup passes);
+/// Eq. 5 table is rebuilt only on target change, n oracle passes);
 /// Reset(seed) rewinds the random stream to a fresh sampler's.
 class OptimalSampler {
  public:

@@ -6,14 +6,13 @@
 namespace mhbc {
 
 RkSampler::RkSampler(const CsrGraph& graph, std::uint64_t seed,
-                     SpdOptions spd)
-    : graph_(&graph), rng_(seed) {
+                     DependencyOracle* shared_oracle)
+    : graph_(&graph),
+      owned_oracle_(shared_oracle ? nullptr
+                                  : std::make_unique<DependencyOracle>(graph)),
+      oracle_(shared_oracle ? shared_oracle : owned_oracle_.get()),
+      rng_(seed) {
   MHBC_DCHECK(graph.num_vertices() >= 2);
-  if (graph.weighted()) {
-    delta_ = std::make_unique<DeltaSpd>(graph, spd);
-  } else {
-    bfs_ = std::make_unique<BfsSpd>(graph, spd);
-  }
 }
 
 void RkSampler::SampleOnePath(std::vector<double>* credit) {
@@ -21,18 +20,9 @@ void RkSampler::SampleOnePath(std::vector<double>* credit) {
   VertexId s = rng_.NextVertex(n);
   VertexId t = rng_.NextVertex(n);
   while (t == s) t = rng_.NextVertex(n);
-  ++num_passes_;
 
-  const ShortestPathDag* dag;
-  if (delta_ != nullptr) {
-    delta_->Run(s);
-    dag = &delta_->dag();
-    if (dag->wdist[t] < 0.0) return;  // zero-credit sample
-  } else {
-    bfs_->Run(s);
-    dag = &bfs_->dag();
-    if (dag->dist[t] == kUnreachedDistance) return;  // zero-credit sample
-  }
+  const ShortestPathDag& dag = oracle_->RunPass(s);
+  if (dag.sigma[t] == 0) return;  // unreached t: zero-credit sample
 
   // Backtrack from t, choosing predecessor z with probability
   // sigma_sz / sigma_sw, which selects each shortest s-t path uniformly.
@@ -41,15 +31,15 @@ void RkSampler::SampleOnePath(std::vector<double>* credit) {
   // across α/β settings and thread counts.
   VertexId w = t;
   while (w != s) {
-    const std::span<const VertexId> parents = dag->predecessors(w);
+    const std::span<const VertexId> parents = dag.predecessors(w);
     MHBC_DCHECK(!parents.empty());
-    const double total = static_cast<double>(dag->sigma[w]);
+    const double total = static_cast<double>(dag.sigma[w]);
     double target = rng_.NextDouble() * total;
     // The fp tail (target still >= 0 after every parent) falls back to the
     // last parent.
     VertexId chosen = parents.back();
     for (VertexId z : parents) {
-      target -= static_cast<double>(dag->sigma[z]);
+      target -= static_cast<double>(dag.sigma[z]);
       if (target < 0.0) {
         chosen = z;
         break;

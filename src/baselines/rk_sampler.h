@@ -4,9 +4,8 @@
 #include <memory>
 #include <vector>
 
+#include "exact/dependency_oracle.h"
 #include "graph/csr_graph.h"
-#include "sp/bfs_spd.h"
-#include "sp/delta_spd.h"
 #include "util/rng.h"
 
 /// \file
@@ -17,20 +16,21 @@
 /// gives a distribution-free sample bound in terms of the vertex diameter.
 ///
 /// Supports weighted graphs: the path backtrack walks the recorded SPD
-/// predecessor lists of either pass kind.
+/// predecessor lists of whichever kernel the oracle runs.
 
 namespace mhbc {
 
 /// Shortest-path sampling estimator.
 class RkSampler {
  public:
-  /// `spd` configures the pass kernel (BFS unweighted, canonical-wave
-  /// delta-stepping weighted). The sampled paths — and therefore the
-  /// estimates — are bit-identical across α/β settings, thread counts,
-  /// and bucket widths: the backtrack walks parents in a fixed
-  /// canonical order either way.
-  explicit RkSampler(const CsrGraph& graph, std::uint64_t seed,
-                     SpdOptions spd = SpdOptions());
+  /// Graph must outlive the sampler. Passes run through `shared_oracle`
+  /// when non-null (bound to the same graph, outliving the sampler; the
+  /// backtrack reads its DAG and never its memo), else through an owned
+  /// default-tuned one. The sampled paths — and therefore the estimates —
+  /// are bit-identical across every SpdOptions setting: the backtrack
+  /// walks parents in a fixed canonical order either way.
+  RkSampler(const CsrGraph& graph, std::uint64_t seed,
+            DependencyOracle* shared_oracle = nullptr);
 
   /// Paper-normalized estimate of BC(r) from `num_samples` sampled paths.
   /// Per sample: one shortest-path pass + one backtrack.
@@ -52,7 +52,9 @@ class RkSampler {
   /// stream, so batched credit accumulation equals a single full run).
   void Reset(std::uint64_t seed) { rng_ = Rng(seed); }
 
-  std::uint64_t num_passes() const { return num_passes_; }
+  /// Total shortest-path passes consumed so far through this sampler's
+  /// oracle (a shared oracle also counts the other users' work).
+  std::uint64_t num_passes() const { return oracle_->num_passes(); }
 
  private:
   /// Samples one shortest path; adds 1 to `credit[v]` for each interior
@@ -62,10 +64,9 @@ class RkSampler {
   void SampleOnePath(std::vector<double>* credit);
 
   const CsrGraph* graph_;
-  std::unique_ptr<BfsSpd> bfs_;
-  std::unique_ptr<DeltaSpd> delta_;
+  std::unique_ptr<DependencyOracle> owned_oracle_;
+  DependencyOracle* oracle_;
   Rng rng_;
-  std::uint64_t num_passes_ = 0;
 };
 
 }  // namespace mhbc

@@ -45,6 +45,7 @@ EstimatorEntry MakeEntry(EstimatorKind kind) {
   entry.kind = kind;
   entry.name = EstimatorKindName(kind);
   entry.supports_weighted = true;
+  entry.supports_directed = true;
   entry.chain_based = false;
   switch (kind) {
     case EstimatorKind::kExact:
@@ -63,13 +64,16 @@ EstimatorEntry MakeEntry(EstimatorKind kind) {
       break;
     case EstimatorKind::kDistanceProportional:
       entry.summary = "distance-proportional sources (Chehreghani [13])";
+      entry.supports_directed = false;
       break;
     case EstimatorKind::kShortestPath:
       entry.summary = "Riondato-Kornaropoulos shortest-path sampling";
       break;
     case EstimatorKind::kLinearScaling:
-      entry.summary = "Geisberger linear-scaling sources (unweighted only)";
+      entry.summary =
+          "Geisberger linear-scaling sources (undirected, unweighted only)";
       entry.supports_weighted = false;
+      entry.supports_directed = false;
       break;
   }
   return entry;
@@ -101,6 +105,21 @@ const EstimatorEntry* FindEstimator(const std::string& name) {
   EstimatorKind kind;
   if (!ParseEstimatorKind(name, &kind)) return nullptr;
   return FindEstimator(kind);
+}
+
+Status CheckEstimatorSupportsGraph(const EstimatorEntry& entry,
+                                   const CsrGraph& graph) {
+  if (graph.weighted() && !entry.supports_weighted) {
+    return Status::InvalidArgument(std::string(entry.name) +
+                                   " estimator supports unweighted graphs "
+                                   "only");
+  }
+  if (graph.directed() && !entry.supports_directed) {
+    return Status::InvalidArgument(std::string(entry.name) +
+                                   " estimator supports undirected graphs "
+                                   "only");
+  }
+  return Status::Ok();
 }
 
 // ------------------------------------------------------- cached results
@@ -184,7 +203,7 @@ DistanceProportionalSampler* BetweennessEngine::distance_sampler() {
 
 RkSampler* BetweennessEngine::rk_sampler() {
   if (!rk_) {
-    rk_ = std::make_unique<RkSampler>(*graph_, /*seed=*/0, options_.spd);
+    rk_ = std::make_unique<RkSampler>(*graph_, /*seed=*/0, oracle());
   }
   return rk_.get();
 }
@@ -192,7 +211,7 @@ RkSampler* BetweennessEngine::rk_sampler() {
 GeisbergerSampler* BetweennessEngine::geisberger_sampler() {
   if (!geisberger_) {
     geisberger_ = std::make_unique<GeisbergerSampler>(*graph_, /*seed=*/0,
-                                                      options_.spd);
+                                                      oracle());
   }
   return geisberger_.get();
 }
@@ -244,29 +263,36 @@ const BetweennessEngine::RkCredit& BetweennessEngine::EnsureRkCredit(
   // credit vector is bit-identical at any parallelism level. Samplers are
   // per worker and Reset to each batch seed (the documented reuse
   // contract: Reset reproduces a freshly-constructed sampler's stream),
-  // so the per-sampler pass scratch is paid once per worker, not once per
-  // batch.
-  std::vector<std::unique_ptr<RkSampler>> worker_samplers(
-      pool()->num_threads());
+  // so the per-worker pass scratch is paid once per worker, not once per
+  // batch. Each worker's sampler runs its passes through its own uncached
+  // oracle; those oracles die with this build, so their passes are added
+  // to extra_passes_ below.
+  struct Worker {
+    std::unique_ptr<DependencyOracle> oracle;
+    std::unique_ptr<RkSampler> sampler;
+  };
+  std::vector<Worker> workers(pool()->num_threads());
   const std::vector<std::vector<double>> batch_credit =
       ParallelMap<std::vector<double>>(
           pool(), static_cast<std::size_t>(batches),
-          [this, seed, base, extra, &worker_samplers](unsigned worker,
-                                                      std::size_t b) {
+          [this, seed, base, extra, &workers](unsigned worker_index,
+                                              std::size_t b) {
             std::uint64_t state = seed + 0x9e3779b97f4a7c15ULL * (b + 1);
-            std::unique_ptr<RkSampler>& sampler = worker_samplers[worker];
-            if (sampler == nullptr) {
+            Worker& worker = workers[worker_index];
+            if (worker.sampler == nullptr) {
               // With a parallel pool the batches are the parallel axis, so
-              // per-worker samplers run sequential passes (intra-pass
+              // per-worker oracles run sequential passes (intra-pass
               // threads would oversubscribe); a 1-wide pool runs batches
               // inline and the passes keep any explicit intra-pass width.
               SpdOptions batch_spd = options_.spd;
               if (pool()->num_threads() > 1) batch_spd.num_threads = 1;
-              sampler = std::make_unique<RkSampler>(*graph_, /*seed=*/0,
-                                                    batch_spd);
+              worker.oracle =
+                  std::make_unique<DependencyOracle>(*graph_, batch_spd);
+              worker.sampler = std::make_unique<RkSampler>(
+                  *graph_, /*seed=*/0, worker.oracle.get());
             }
-            sampler->Reset(SplitMix64(&state));
-            return sampler->EstimateAll(base + (b < extra ? 1 : 0));
+            worker.sampler->Reset(SplitMix64(&state));
+            return worker.sampler->EstimateAll(base + (b < extra ? 1 : 0));
           });
   auto credit = std::make_unique<RkCredit>();
   credit->samples = samples;
@@ -291,17 +317,15 @@ const BetweennessEngine::RkCredit& BetweennessEngine::EnsureRkCredit(
                   std::sqrt(static_cast<double>(batch_means.count()))
             : 0.0;
   }
-  extra_passes_ += samples;  // one pass per sampled path, on batch samplers
+  for (const Worker& worker : workers) {
+    if (worker.oracle) extra_passes_ += worker.oracle->num_passes();
+  }
   rk_credit_ = std::move(credit);
   return *rk_credit_;
 }
 
 std::uint64_t BetweennessEngine::total_sp_passes() const {
-  std::uint64_t passes = extra_passes_;
-  if (oracle_) passes += oracle_->num_passes();
-  if (rk_) passes += rk_->num_passes();
-  if (geisberger_) passes += geisberger_->num_passes();
-  return passes;
+  return extra_passes_ + (oracle_ ? oracle_->num_passes() : 0);
 }
 
 std::uint64_t BetweennessEngine::dependency_cache_hits() const {
@@ -324,11 +348,7 @@ Status BetweennessEngine::ValidateRequest(
   if (entry == nullptr) {
     return Status::InvalidArgument("unknown estimator kind");
   }
-  if (graph_->weighted() && !entry->supports_weighted) {
-    return Status::InvalidArgument(std::string(entry->name) +
-                                   " estimator supports unweighted graphs "
-                                   "only");
-  }
+  MHBC_RETURN_IF_ERROR(CheckEstimatorSupportsGraph(*entry, *graph_));
   if (request.kind == EstimatorKind::kExact) return Status::Ok();
   switch (request.budget) {
     case BudgetKind::kSamples:

@@ -22,9 +22,10 @@
 /// algorithm, and one shortest-path pass from a source v yields the
 /// dependency of v on *every* target at once. An engine exploits both: it
 /// is constructed once per graph, owns lazily-built per-estimator state
-/// (a memoizing dependency oracle shared by the source samplers, distance
-/// proposal tables, the RK diameter probe and all-vertices credit vector,
-/// cached exact scores, the last joint-space result), and serves
+/// (a memoizing dependency oracle — the engine's one SPD kernel, through
+/// which every sampler runs its passes — distance proposal tables, the RK
+/// diameter probe and all-vertices credit vector, cached exact scores, the
+/// last joint-space result), and serves
 /// EstimateRequest -> EstimateReport queries whose work amortizes across
 /// calls. Querying a second vertex on a live engine costs strictly fewer
 /// shortest-path passes than a second one-shot call, because dependency
@@ -208,6 +209,9 @@ struct EstimatorEntry {
   const char* summary;
   /// False for estimators restricted to unweighted graphs.
   bool supports_weighted;
+  /// False for estimators restricted to undirected graphs (their
+  /// unbiasedness argument needs symmetric distances).
+  bool supports_directed;
   /// True for the MH chain family (acceptance rate / ESS diagnostics).
   bool chain_based;
 };
@@ -220,6 +224,12 @@ const EstimatorEntry* FindEstimator(EstimatorKind kind);
 
 /// Registry lookup by stable name; null for unknown names.
 const EstimatorEntry* FindEstimator(const std::string& name);
+
+/// InvalidArgument when `graph` is weighted or directed and `entry` does
+/// not support that; the check BetweennessEngine::Estimate runs before any
+/// pass, shared so front ends can classify the failure as a usage error.
+Status CheckEstimatorSupportsGraph(const EstimatorEntry& entry,
+                                   const CsrGraph& graph);
 
 /// Reusable estimation session bound to one graph. See file comment.
 class BetweennessEngine {
@@ -235,11 +245,12 @@ class BetweennessEngine {
 
   /// Estimates the (paper-normalized) betweenness of vertex r.
   ///
-  /// Fails with InvalidArgument for out-of-range r, empty/ill-formed
-  /// budgets, or an estimator that does not support the graph (e.g.
-  /// linear-scaling sampling on weighted graphs). The graph should be
-  /// connected for meaningful scores (the paper's model); disconnected
-  /// graphs are allowed and treat cross-component pairs as zero.
+  /// Fails with InvalidArgument, before any pass runs, for out-of-range r,
+  /// empty/ill-formed budgets, or an estimator that does not support the
+  /// graph (CheckEstimatorSupportsGraph: e.g. linear-scaling sampling on
+  /// weighted or directed graphs). The graph should be connected for
+  /// meaningful scores (the paper's model); disconnected graphs are
+  /// allowed and treat cross-component pairs as zero.
   StatusOr<EstimateReport> Estimate(VertexId r, const EstimateRequest& request);
 
   /// Serves heterogeneous requests (each naming its vertex in
@@ -296,7 +307,9 @@ class BetweennessEngine {
   const EngineOptions& options() const { return options_; }
 
   /// Total shortest-path passes this engine has executed, over all
-  /// estimators and queries (setup passes included).
+  /// estimators and queries (setup passes included): the shared oracle's
+  /// passes plus those of the builds that run their own (exact scores, RK
+  /// credit batches, diameter probes).
   std::uint64_t total_sp_passes() const;
 
   /// Dependencies served from the shared memo instead of a pass.
@@ -377,7 +390,7 @@ class BetweennessEngine {
   /// Worker pool for the parallel builds, lazily built.
   std::unique_ptr<ThreadPool> pool_;
 
-  /// Passes run outside the oracle and samplers (exact build, RK credit
+  /// Passes run outside the shared oracle (exact build, RK credit
   /// batches, probes).
   std::uint64_t extra_passes_ = 0;
 };

@@ -1,10 +1,9 @@
 #include "exact/brandes.h"
 
 #include <algorithm>
+#include <utility>
 
-#include "sp/bfs_spd.h"
-#include "sp/delta_spd.h"
-#include "sp/dependency.h"
+#include "exact/dependency_oracle.h"
 #include "util/thread_pool.h"
 
 namespace mhbc {
@@ -33,25 +32,14 @@ void NormalizeScores(std::vector<double>* scores, Normalization norm,
 namespace {
 
 /// Shared driver: runs one pass per source in [begin, end) in ascending
-/// order and hands each dependency vector to the callback.
+/// order through an uncached oracle and hands each dependency vector to the
+/// callback.
 template <typename PerSource>
 void ForEachSourceDependenciesInRange(const CsrGraph& graph, VertexId begin,
                                       VertexId end, SpdOptions spd,
                                       PerSource&& per_source) {
-  DependencyAccumulator accumulator(graph);
-  if (graph.weighted()) {
-    DeltaSpd engine(graph, spd);
-    for (VertexId s = begin; s < end; ++s) {
-      engine.Run(s);
-      per_source(accumulator.Accumulate(engine));
-    }
-  } else {
-    BfsSpd engine(graph, spd);
-    for (VertexId s = begin; s < end; ++s) {
-      engine.Run(s);
-      per_source(accumulator.Accumulate(engine));
-    }
-  }
+  DependencyOracle oracle(graph, spd);
+  for (VertexId s = begin; s < end; ++s) per_source(oracle.Dependencies(s));
 }
 
 /// All sources, in order (the sequential driver behind

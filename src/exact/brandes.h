@@ -74,8 +74,8 @@ double ExactBetweennessSingle(const CsrGraph& graph, VertexId r,
 /// Exact dependency profile for a fixed target r: the vector
 /// [delta_{v.}(r)] over all sources v. This is the unnormalized target
 /// distribution of the paper's MH sampler (Eq. 5); its sum is the raw
-/// betweenness of r. O(nm). Used by the optimal baseline sampler [13] and
-/// by the theory module to compute mu(r) exactly.
+/// betweenness of r. O(nm). Ground truth for mu(r) (core/theory.h) and
+/// the exact per-sample variances (core/variance.h).
 std::vector<double> DependencyProfile(const CsrGraph& graph, VertexId r,
                                       SpdOptions spd = SpdOptions());
 

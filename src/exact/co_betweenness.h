@@ -10,7 +10,7 @@
 /// one*; Everett-Borgatti 1999), related by inclusion-exclusion.
 ///
 /// These are exact, all-pairs-table computations: O(nm) time and O(n^2)
-/// memory — small/mid graphs only, used by tests and the community example.
+/// memory — small/mid graphs only, used as ground truth by the tests.
 
 namespace mhbc {
 

@@ -131,10 +131,16 @@ bool WeightedPassSurvivesEdits(const std::vector<double>& wdists,
 
 DependencyOracle::DependencyOracle(const CsrGraph& graph, SpdOptions spd)
     : graph_(&graph), spd_(spd), accumulator_(graph) {
+  BindKernel(graph);
+}
+
+void DependencyOracle::BindKernel(const CsrGraph& graph) {
+  bfs_.reset();
+  delta_.reset();
   if (graph.weighted()) {
-    delta_ = std::make_unique<DeltaSpd>(graph, spd);
+    delta_ = std::make_unique<DeltaSpd>(graph, spd_);
   } else {
-    bfs_ = std::make_unique<BfsSpd>(graph, spd);
+    bfs_ = std::make_unique<BfsSpd>(graph, spd_);
   }
 }
 
@@ -183,13 +189,18 @@ void DependencyOracle::ApplyGraphDelta(const CsrGraph& new_graph,
   }
   graph_ = &new_graph;
   accumulator_ = DependencyAccumulator(new_graph);
-  if (new_graph.weighted()) {
-    delta_ = std::make_unique<DeltaSpd>(new_graph, spd_);
-    bfs_.reset();
-  } else {
-    bfs_ = std::make_unique<BfsSpd>(new_graph, spd_);
-    delta_.reset();
+  BindKernel(new_graph);
+}
+
+const ShortestPathDag& DependencyOracle::RunPass(VertexId source) {
+  MHBC_DCHECK(source < graph_->num_vertices());
+  ++num_passes_;
+  if (delta_) {
+    delta_->Run(source);
+    return delta_->dag();
   }
+  bfs_->Run(source);
+  return bfs_->dag();
 }
 
 const std::vector<double>& DependencyOracle::Dependencies(VertexId source) {
@@ -201,46 +212,30 @@ const std::vector<double>& DependencyOracle::Dependencies(VertexId source) {
       return it->second.deps;
     }
   }
-  ++num_passes_;
-  const std::vector<double>* deps;
-  const ShortestPathDag* dag;
-  if (delta_) {
-    delta_->Run(source);
-    deps = &accumulator_.Accumulate(*delta_);
-    dag = &delta_->dag();
-  } else {
-    bfs_->Run(source);
-    deps = &accumulator_.Accumulate(*bfs_);
-    dag = &bfs_->dag();
-  }
+  const ShortestPathDag& dag = RunPass(source);
+  const std::vector<double>& deps = accumulator_.Accumulate(dag);
   if (cache_capacity_ > 0) {
     // Bulk eviction keeps the policy trivial and deterministic; the cache
     // refills from the live working set within one query's worth of passes.
     if (cache_.size() >= cache_capacity_) cache_.clear();
     CacheEntry entry;
-    entry.deps = *deps;
+    entry.deps = deps;
     // Each pass keeps its distances for the edit-survival test
     // (ApplyGraphDelta): hop distances unweighted, weighted distances
     // weighted.
     if (graph_->weighted()) {
-      entry.wdists = dag->wdist;
+      entry.wdists = dag.wdist;
     } else {
-      entry.hops = dag->dist;
+      entry.hops = dag.dist;
     }
     return cache_.emplace(source, std::move(entry)).first->second.deps;
   }
-  return *deps;
+  return deps;
 }
 
 double DependencyOracle::Dependency(VertexId source, VertexId target) {
   MHBC_DCHECK(target < graph_->num_vertices());
   return Dependencies(source)[target];
-}
-
-double DependencyOracle::EstimatorTerm(VertexId v, VertexId r) {
-  const double n = static_cast<double>(graph_->num_vertices());
-  MHBC_DCHECK(n >= 2.0);
-  return Dependency(v, r) / (n - 1.0);
 }
 
 }  // namespace mhbc

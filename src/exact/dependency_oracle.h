@@ -15,7 +15,8 @@
 /// \file
 /// The per-sample work unit shared by all samplers: a single-source
 /// shortest-path pass plus dependency accumulation, exposing
-/// delta_{source.}(target).
+/// delta_{source.}(target). The oracle is the library's one pass owner:
+/// every sampler and the exact Brandes driver run their passes through it.
 
 namespace mhbc {
 
@@ -23,9 +24,10 @@ namespace mhbc {
 ///
 /// This is exactly the quantity the paper's acceptance ratio (Eq. 6/17)
 /// needs: "it can be done in O(|E|) time for unweighted graphs and in
-/// O(|E| + |V| log |V|) for weighted graphs" (§4.1). The oracle counts its
-/// passes so harnesses can report work in pass units — the fair comparison
-/// currency across samplers.
+/// O(|E| + |V| log |V|) for weighted graphs" (§4.1). The oracle owns the
+/// one SPD kernel (BfsSpd unweighted, DeltaSpd weighted) and counts every
+/// pass it runs, so harnesses report work in pass units — the fair
+/// comparison currency across samplers — from this one counter.
 ///
 /// One pass from source v yields the dependency of v on *every* target at
 /// once, so a single oracle shared by several estimators (or by one
@@ -70,18 +72,20 @@ class DependencyOracle {
   /// sp/bfs_spd.h and sp/delta_spd.h).
   explicit DependencyOracle(const CsrGraph& graph, SpdOptions spd = SpdOptions());
 
+  /// Runs one counted shortest-path pass from `source` and returns its DAG
+  /// (valid until the next pass). Neither reads nor fills the memo and
+  /// leaves the accumulator alone: this is the entry point for samplers
+  /// that consume the DAG itself (path backtracks, scaled sweeps, distance
+  /// tables) rather than a dependency vector.
+  const ShortestPathDag& RunPass(VertexId source);
+
   /// Runs one pass from `source` and returns delta_{source.}(target).
   double Dependency(VertexId source, VertexId target);
 
   /// Runs one pass from `source` (or serves the memoized vector) and
   /// returns the whole dependency vector delta_{source.}(.) (valid until
-  /// the next call).
+  /// the next call). A miss is RunPass plus one accumulation.
   const std::vector<double>& Dependencies(VertexId source);
-
-  /// Paper Eq. 7 integrand: f(v) = 1/(n-1) * sum_u sigma_{vu}(r)/sigma_{vu}
-  ///                             = delta_{v.}(r) / (n-1).
-  /// One pass from v.
-  double EstimatorTerm(VertexId v, VertexId r);
 
   /// Enables memoization of up to `max_entries` dependency vectors
   /// (memory: max_entries * n doubles, plus n u32 hop distances per entry
@@ -105,13 +109,8 @@ class DependencyOracle {
   void ApplyGraphDelta(const CsrGraph& new_graph,
                        std::span<const GraphEdit> edits);
 
-  /// Records `count` shortest-path passes executed *outside* the oracle on
-  /// its behalf (distance-table setup, diameter probes), so every sampler
-  /// reports its true total work through this one counter.
-  void RecordSetupPasses(std::uint64_t count) { num_passes_ += count; }
-
-  /// Number of shortest-path passes executed so far (including recorded
-  /// setup passes; excluding cache hits, which cost no pass).
+  /// Number of shortest-path passes executed so far (RunPass calls plus
+  /// memo misses; cache hits cost no pass).
   std::uint64_t num_passes() const { return num_passes_; }
 
   /// Number of Dependencies() calls served from the memo without a pass.
@@ -139,6 +138,10 @@ class DependencyOracle {
     std::vector<std::uint32_t> hops;
     std::vector<double> wdists;
   };
+
+  /// Builds the one SPD kernel for `graph` (DeltaSpd weighted, BfsSpd
+  /// unweighted), dropping the previous one.
+  void BindKernel(const CsrGraph& graph);
 
   const CsrGraph* graph_;
   SpdOptions spd_;

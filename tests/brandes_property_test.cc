@@ -5,7 +5,7 @@
 
 #include "exact/brandes.h"
 #include "graph/generators.h"
-#include "sp/distance.h"
+#include "sp/bfs_spd.h"
 
 namespace mhbc {
 namespace {
@@ -37,8 +37,10 @@ TEST_P(BrandesPropertyTest, TotalRawEqualsInteriorVertexCount) {
   double total = 0.0;
   for (double s : raw) total += s;
   double expected = 0.0;
+  BfsSpd bfs(g);
   for (VertexId s = 0; s < g.num_vertices(); ++s) {
-    const auto dist = BfsDistances(g, s);
+    bfs.Run(s);
+    const auto& dist = bfs.dag().dist;
     for (VertexId t = 0; t < g.num_vertices(); ++t) {
       if (t == s || dist[t] == kUnreachedDistance) continue;
       expected += static_cast<double>(dist[t]) - 1.0;

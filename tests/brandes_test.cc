@@ -122,9 +122,12 @@ TEST(BrandesTest, SingleMatchesFull) {
   }
 }
 
-TEST(BrandesTest, WeightedUnitMatchesUnweighted) {
+TEST(BrandesTest, WeightedConstantMatchesUnweighted) {
+  // Constant weight 2: unit weights would build an unweighted graph and
+  // compare the BFS kernel with itself.
   const CsrGraph g = MakeGrid(4, 4);
-  const CsrGraph wg = AssignUniformWeights(g, 1.0, 1.0, 5);
+  const CsrGraph wg = AssignUniformWeights(g, 2.0, 2.0, 5);
+  ASSERT_TRUE(wg.weighted());
   const auto unweighted = ExactBetweenness(g);
   const auto weighted = ExactBetweenness(wg);
   for (VertexId v = 0; v < g.num_vertices(); ++v) {

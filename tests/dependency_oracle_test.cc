@@ -27,18 +27,35 @@ TEST(DependencyOracleTest, CountsPasses) {
   EXPECT_EQ(oracle.num_passes(), 2u);
 }
 
-TEST(DependencyOracleTest, EstimatorTermIsDeltaOverNMinus1) {
+TEST(DependencyOracleTest, RunPassCountsAndBypassesTheMemo) {
   const CsrGraph g = MakePath(5);
   DependencyOracle oracle(g);
-  // From source 0, delta on vertex 2 is 2 (targets 3 and 4).
-  EXPECT_DOUBLE_EQ(oracle.EstimatorTerm(0, 2), 2.0 / 4.0);
+  oracle.set_cache_capacity(5);
+  const ShortestPathDag& dag = oracle.RunPass(0);
+  EXPECT_EQ(dag.source, 0u);
+  EXPECT_EQ(dag.dist[4], 4u);
+  EXPECT_EQ(oracle.num_passes(), 1u);
+  EXPECT_EQ(oracle.cached_entries(), 0u);
+  // A memo hit still costs no pass; RunPass always does.
+  oracle.Dependencies(0);
+  oracle.Dependencies(0);
+  oracle.RunPass(0);
+  EXPECT_EQ(oracle.num_passes(), 3u);
+  EXPECT_EQ(oracle.cache_hits(), 1u);
+  // From source 0, delta on vertex 2 is 2 (targets 3 and 4), and a
+  // RunPass in between leaves the memoized vector intact.
+  EXPECT_DOUBLE_EQ(oracle.Dependency(0, 2), 2.0);
 }
 
-TEST(DependencyOracleTest, WeightedGraphUsesDijkstra) {
-  const CsrGraph wg = AssignUniformWeights(MakeGrid(4, 4), 1.0, 1.0, 3);
+TEST(DependencyOracleTest, WeightedGraphUsesDeltaSteppingKernel) {
+  // Constant weight 2 (unit weights would build an unweighted graph):
+  // every shortest path is the hop-shortest one, so the dependencies match.
+  const CsrGraph wg = AssignUniformWeights(MakeGrid(4, 4), 2.0, 2.0, 3);
   const CsrGraph g = MakeGrid(4, 4);
   DependencyOracle weighted(wg);
   DependencyOracle unweighted(g);
+  EXPECT_TRUE(weighted.RunPass(0).weighted);
+  EXPECT_FALSE(unweighted.RunPass(0).weighted);
   for (VertexId v = 0; v < g.num_vertices(); v += 3) {
     const auto& dw = weighted.Dependencies(v);
     const auto& du = unweighted.Dependencies(v);

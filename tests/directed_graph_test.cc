@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -15,6 +16,7 @@
 #include "exact/brandes.h"
 #include "graph/csr_graph.h"
 #include "graph/dynamic_graph.h"
+#include "graph/generators.h"
 #include "graph/graph_algos.h"
 #include "graph/graph_builder.h"
 #include "graph/graph_io.h"
@@ -356,6 +358,47 @@ TEST(DirectedEngineTest, MhEstimatesThreadInvariant) {
     for (std::size_t i = 0; i < baseline.size(); ++i) {
       ExpectSameStatistics(reports.value()[i], baseline[i],
                            "MH @" + std::to_string(threads) + " threads");
+    }
+  }
+}
+
+TEST(DirectedEngineTest, SymmetricDistanceKindsAreRejectedBeforeAnyPass) {
+  // distance weights sources by d(r, s) and geisberger's linear scaling
+  // needs d(s, t) = d(t, s): both are biased on directed graphs, so the
+  // engine refuses them up front.
+  const CsrGraph g = MakeRandomDirected(300, 600, 5);
+  BetweennessEngine engine(g);
+  for (EstimatorKind kind : {EstimatorKind::kDistanceProportional,
+                             EstimatorKind::kLinearScaling}) {
+    EXPECT_FALSE(FindEstimator(kind)->supports_directed);
+    EstimateRequest request;
+    request.kind = kind;
+    request.samples = 100;
+    const auto report = engine.Estimate(111, request);
+    ASSERT_FALSE(report.ok()) << EstimatorKindName(kind);
+    EXPECT_EQ(report.status().code(), StatusCode::kInvalidArgument);
+  }
+  EXPECT_EQ(engine.total_sp_passes(), 0u);
+}
+
+TEST(DirectedEngineTest, UnbiasedKindsLandWithinFourStdErrorsOfExact) {
+  const CsrGraph g = MakeRandomDirected(300, 600, 5);
+  const std::vector<double> exact = BrandesBetweenness(g);
+  BetweennessEngine engine(g);
+  for (EstimatorKind kind :
+       {EstimatorKind::kUniformSource, EstimatorKind::kMhRaoBlackwell,
+        EstimatorKind::kShortestPath}) {
+    for (VertexId r : {VertexId{40}, VertexId{111}, VertexId{163}}) {
+      EstimateRequest request;
+      request.kind = kind;
+      request.samples = 4000;
+      request.seed = 0xD1;
+      const auto report = engine.Estimate(r, request);
+      ASSERT_TRUE(report.ok()) << report.status().ToString();
+      const EstimateReport& got = report.value();
+      EXPECT_GT(got.std_error, 0.0) << EstimatorKindName(kind) << " r=" << r;
+      EXPECT_LE(std::fabs(got.value - exact[r]), 4.0 * got.std_error)
+          << EstimatorKindName(kind) << " r=" << r << " exact " << exact[r];
     }
   }
 }

@@ -44,6 +44,18 @@ TEST(EstimatorRegistryTest, WeightedSupportMatchesValidation) {
   }
 }
 
+TEST(EstimatorRegistryTest, DirectedSupportMatchesValidation) {
+  const CsrGraph g = MakeRandomDirected(40, 80, 3);
+  BetweennessEngine engine(g);
+  for (const EstimatorEntry& entry : EstimatorRegistry()) {
+    EstimateRequest request;
+    request.kind = entry.kind;
+    request.samples = 20;
+    EXPECT_EQ(engine.Estimate(1, request).ok(), entry.supports_directed)
+        << entry.name;
+  }
+}
+
 // ------------------------------------------------- cache amortization
 
 TEST(EngineTest, SecondVertexCostsFewerPassesThanFreshEngines) {
@@ -402,6 +414,52 @@ TEST(EstimateTypesTest, RankOrderFromScoresBreaksTiesByInputOrder) {
   const std::vector<std::size_t> all_tied = RankOrderFromScores({1.0, 1.0, 1.0});
   const std::vector<std::size_t> identity{0, 1, 2};
   EXPECT_EQ(all_tied, identity);
+}
+
+TEST(EngineTest, ReportsPinExactPassCountsWithTheMemoOff) {
+  // With the memo off every sample is one counted pass, so each report's
+  // sp_passes is exact: the distance table costs one more pass on a
+  // target's first query, and the engine total is the sum of the reports.
+  const CsrGraph g = MakeConnectedCaveman(5, 8);
+  EngineOptions options;
+  options.dependency_cache_bytes = 0;
+  BetweennessEngine engine(g, options);
+  const VertexId r = 7;  // a gateway: nonzero betweenness
+  ASSERT_GT(ExactBetweennessSingle(g, r), 0.0);
+  std::uint64_t reported = 0;
+  const auto run = [&](EstimatorKind kind, BudgetKind budget,
+                       std::uint64_t samples, VertexId v) {
+    EstimateRequest request;
+    request.kind = kind;
+    request.budget = budget;
+    request.samples = samples;
+    request.target_std_error = 1e-3;
+    request.max_samples = samples;
+    request.seed = 0xACC + samples;
+    const auto report = engine.Estimate(v, request);
+    EXPECT_TRUE(report.ok()) << EstimatorKindName(kind);
+    if (!report.ok()) return EstimateReport();
+    reported += report.value().sp_passes;
+    return report.value();
+  };
+  const EstimatorKind distance = EstimatorKind::kDistanceProportional;
+  EXPECT_EQ(run(distance, BudgetKind::kSamples, 100, r).sp_passes, 101u);
+  EXPECT_EQ(run(distance, BudgetKind::kSamples, 50, r).sp_passes, 50u);
+  const EstimateReport adaptive =
+      run(distance, BudgetKind::kStandardError, 700, r);
+  EXPECT_EQ(adaptive.sp_passes, adaptive.samples_used);
+  EXPECT_EQ(run(distance, BudgetKind::kSamples, 30, 8).sp_passes, 31u);
+  for (EstimatorKind kind :
+       {EstimatorKind::kLinearScaling, EstimatorKind::kShortestPath,
+        EstimatorKind::kUniformSource}) {
+    const EstimateReport fixed = run(kind, BudgetKind::kSamples, 100, r);
+    EXPECT_EQ(fixed.samples_used, 100u) << EstimatorKindName(kind);
+    EXPECT_EQ(fixed.sp_passes, 100u) << EstimatorKindName(kind);
+    const EstimateReport se = run(kind, BudgetKind::kStandardError, 700, r);
+    EXPECT_GE(se.samples_used, 384u) << EstimatorKindName(kind);
+    EXPECT_EQ(se.sp_passes, se.samples_used) << EstimatorKindName(kind);
+  }
+  EXPECT_EQ(engine.total_sp_passes(), reported);
 }
 
 TEST(EngineTest, TopKReusesDiameterAndCreditAcrossCalls) {

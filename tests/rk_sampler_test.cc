@@ -80,9 +80,12 @@ TEST(RkSampleBoundTest, MinimalVertexDiameter) {
             static_cast<std::uint64_t>(std::ceil(expected)));
 }
 
-TEST(RkSamplerTest, WeightedUnitMatchesUnweighted) {
+TEST(RkSamplerTest, WeightedConstantMatchesUnweighted) {
+  // Constant weight 2: unit weights would build an unweighted graph and
+  // backtrack over BFS passes.
   const CsrGraph g = MakeGrid(4, 4);
-  const CsrGraph wg = AssignUniformWeights(g, 1.0, 1.0, 51);
+  const CsrGraph wg = AssignUniformWeights(g, 2.0, 2.0, 51);
+  ASSERT_TRUE(wg.weighted());
   RkSampler weighted(wg, 61);
   const auto estimates = weighted.EstimateAll(30'000);
   const auto exact = ExactBetweenness(g);

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "datasets/registry.h"
+#include "graph/generators.h"
 #include "gtest/gtest.h"
 #include "serve/protocol.h"
 #include "serve/server.h"
@@ -158,6 +159,41 @@ TEST_F(ServeProtocolTest, MalformedBudgetFieldsAreFieldClass) {
     ExpectError(line, ServeErrorClass::kField);
   }
   ExpectStillServing();
+}
+
+TEST(ServeDirectedGraphTest, EstimatorsNeedingSymmetricDistancesAreFieldClass) {
+  // distance and geisberger assume d(s, t) = d(t, s); on a directed graph
+  // the engine rejects them before any pass, and the server reports the
+  // client's choice of estimator as a `field` error.
+  GraphCatalog catalog;
+  ASSERT_TRUE(catalog
+                  .AddGraph("directed-80", MakeRandomDirected(80, 160, 3),
+                            EngineOptions(), /*sessions=*/1)
+                  .ok());
+  ServerOptions options;
+  options.workers = 1;
+  Server server(&catalog, options);
+  for (const char* estimator : {"distance", "geisberger"}) {
+    const std::string line =
+        std::string(R"({"method": "estimate", "graph": "directed-80", )") +
+        R"("vertices": [5], "samples": 50, "estimator": ")" + estimator +
+        R"("})";
+    const std::string response_line = server.Call(line);
+    auto response = ParseServeResponse(response_line);
+    ASSERT_TRUE(response.ok()) << response_line;
+    EXPECT_FALSE(response.value().ok) << response_line;
+    EXPECT_EQ(ServeErrorClassName(response.value().error_class),
+              std::string(ServeErrorClassName(ServeErrorClass::kField)))
+        << response_line;
+    EXPECT_NE(response.value().message.find("undirected graphs only"),
+              std::string::npos)
+        << response_line;
+  }
+  auto uniform = ParseServeResponse(server.Call(
+      R"({"method": "estimate", "graph": "directed-80", "vertices": [5], )"
+      R"("samples": 50, "estimator": "uniform"})"));
+  ASSERT_TRUE(uniform.ok());
+  EXPECT_TRUE(uniform.value().ok);
 }
 
 TEST_F(ServeProtocolTest, MutateValidationIsFieldClass) {

@@ -238,6 +238,23 @@ TEST_F(ToolCliTest, UnknownEstimatorAndBadVerticesFail) {
   EXPECT_FALSE(fs::exists(Path("generated.txt")));
 }
 
+TEST_F(ToolCliTest, EstimatorTheGraphRulesOutIsAUsageError) {
+  // The same file ingested as directed: distance and geisberger assume
+  // symmetric distances, so asking for them is a usage error (exit 2),
+  // while an estimator that supports directed graphs runs.
+  const std::string graph = ValidGraph();
+  for (const char* kind : {"geisberger", "distance"}) {
+    ExpectFailure("--directed estimate " + graph + " 1 " + kind + " 50",
+                  "undirected graphs only", kExitUsage);
+  }
+  EXPECT_EQ(Run("--directed estimate " + graph + " 1 uniform 50").exit_code,
+            0);
+  int exit_code = -1;
+  const std::string table = RunStdout("estimators", &exit_code);
+  EXPECT_EQ(exit_code, 0);
+  EXPECT_NE(table.find("| directed |"), std::string::npos) << table;
+}
+
 TEST_F(ToolCliTest, MutateRejectsMissingAndMalformedEditScripts) {
   const std::string graph = ValidGraph();
   ExpectFailure("mutate " + graph + " " + Quote(Path("no.edits")) + " 1,2",

@@ -7,7 +7,7 @@
 #include "baselines/uniform_sampler.h"
 #include "exact/brandes.h"
 #include "graph/generators.h"
-#include "sp/distance.h"
+#include "sp/bfs_spd.h"
 #include "util/stats.h"
 
 namespace mhbc {
@@ -39,9 +39,11 @@ TEST(VarianceTest, UniformZeroOnFlatProfile) {
 
 TEST(VarianceTest, OptimalNeverWorseThanUniformOrDistance) {
   const CsrGraph g = MakeConnectedCaveman(4, 8);
+  BfsSpd bfs(g);
   for (VertexId r : {VertexId{7}, VertexId{15}, VertexId{0}}) {
     const auto profile = DependencyProfile(g, r);
-    const auto dist = BfsDistances(g, r);
+    bfs.Run(r);
+    const auto& dist = bfs.dag().dist;
     std::vector<double> weights(profile.size(), 0.0);
     for (VertexId v = 0; v < g.num_vertices(); ++v) {
       if (v != r) weights[v] = static_cast<double>(dist[v]);
