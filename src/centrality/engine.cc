@@ -144,8 +144,9 @@ struct BetweennessEngine::JointCache {
 // ---------------------------------------------------------- construction
 
 BetweennessEngine::BetweennessEngine(const CsrGraph& graph,
-                                     EngineOptions options)
-    : graph_(&graph), options_(options) {}
+                                     EngineOptions options,
+                                     std::shared_ptr<DependencyMemo> memo)
+    : graph_(&graph), options_(options), memo_(std::move(memo)) {}
 
 BetweennessEngine::~BetweennessEngine() = default;
 
@@ -169,7 +170,8 @@ std::size_t BetweennessEngine::DependencyCacheEntries(
 
 DependencyOracle* BetweennessEngine::oracle() {
   if (!oracle_) {
-    oracle_ = std::make_unique<DependencyOracle>(*graph_, options_.spd);
+    oracle_ = std::make_unique<DependencyOracle>(*graph_, options_.spd,
+                                                 memo_, graph_epoch_);
     oracle_->set_cache_capacity(DependencyCacheEntries(*graph_));
   }
   return oracle_.get();

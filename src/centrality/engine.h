@@ -84,8 +84,11 @@
 /// External thread-compatibility is unchanged: concurrent calls into ONE
 /// engine still require external synchronization (queries mutate shared
 /// caches). For concurrent serving either put a mutex in front of one
-/// engine or give each server worker its own engine — engines share
-/// nothing but the graph.
+/// engine or give each server worker its own engine. Such engines share
+/// the graph and, when constructed with one, a DependencyMemo: the memo
+/// is the one piece of engine state that is safe to share, so a pass any
+/// session paid for serves every session (the serving catalog builds one
+/// per graph). Pass and hit counters stay per engine.
 ///
 /// Graph mutation. ApplyDelta(delta) edits the served graph in place
 /// (an internal DynamicGraph writes the post-edit CSR; see
@@ -98,7 +101,9 @@
 /// rebuilt on next use; the dependency memo survives *selectively* —
 /// only cached passes whose BFS trees an edit touches are dropped
 /// (DependencyOracle::ApplyGraphDelta), which is what makes a small edit
-/// batch cheaper to re-estimate than a cold rebuild. After the first
+/// batch cheaper to re-estimate than a cold rebuild. On a memo shared
+/// with other engines that invalidation runs once per delta, in whichever
+/// engine's oracle rebinds first. After the first
 /// ApplyDelta, graph() returns the engine-owned post-edit graph; the
 /// construction graph is no longer referenced.
 
@@ -235,9 +240,13 @@ Status CheckEstimatorSupportsGraph(const EstimatorEntry& entry,
 class BetweennessEngine {
  public:
   /// The graph must outlive the engine. Construction is O(1); all
-  /// per-estimator state is built lazily on first use.
+  /// per-estimator state is built lazily on first use. A non-null `memo`
+  /// is shared with every other engine given it: they must serve the same
+  /// graph and apply the same ApplyDelta sequence. Null gives the engine a
+  /// private memo.
   explicit BetweennessEngine(const CsrGraph& graph,
-                             EngineOptions options = EngineOptions());
+                             EngineOptions options = EngineOptions(),
+                             std::shared_ptr<DependencyMemo> memo = nullptr);
   ~BetweennessEngine();
 
   BetweennessEngine(const BetweennessEngine&) = delete;
@@ -373,6 +382,8 @@ class BetweennessEngine {
   std::unique_ptr<DynamicGraph> dynamic_;
   std::uint64_t graph_epoch_ = 0;
 
+  /// Shared dependency memo handed to the oracle; null = private.
+  std::shared_ptr<DependencyMemo> memo_;
   std::unique_ptr<DependencyOracle> oracle_;
   std::unique_ptr<MhBetweennessSampler> mh_;
   std::unique_ptr<UniformSourceSampler> uniform_;

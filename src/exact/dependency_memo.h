@@ -1,0 +1,103 @@
+#pragma once
+
+#include <cstdint>
+#include <functional>
+#include <memory>
+#include <mutex>
+#include <unordered_map>
+#include <vector>
+
+#include "util/common.h"
+
+/// \file
+/// DependencyMemo — the store of memoized dependency vectors behind one or
+/// more DependencyOracles. An oracle alone owns a private memo; the
+/// serving catalog builds one memo per graph and hands it to every
+/// session, so a pass any session paid for serves all of them.
+
+namespace mhbc {
+
+/// Whole dependency vectors keyed by source, tagged with the graph epoch
+/// they were computed on.
+///
+/// Entries are immutable and handed out as shared_ptr<const Entry>: a
+/// reader that holds one keeps it valid even after another oracle clears
+/// the map (bulk eviction) or invalidates it (a graph edit). One mutex
+/// guards the map; it is held only for the lookup, the insert, and the
+/// per-edit invalidation sweep, never across a pass. Every entry is a
+/// deterministic function of (graph, source), so which of two racing
+/// inserts wins, and the eviction order under concurrency, change only
+/// work accounting, never a served value.
+///
+/// Epochs. The memo records the epoch its entries belong to. Find and
+/// Insert name the caller's epoch and miss (or drop the insert) on a
+/// mismatch, so an entry is never served to a graph it was not computed
+/// on. Advance moves the memo one epoch forward exactly once: the first
+/// oracle to rebind after an edit invalidates and extends the entries,
+/// later oracles at the same epoch find the work done. Oracles sharing a
+/// memo must therefore apply the same edit sequence (the serving catalog
+/// applies every delta to all of its sessions).
+class DependencyMemo {
+ public:
+  /// One memoized pass: the dependency vector plus the pass' distances —
+  /// hop distances on unweighted graphs, weighted distances on weighted
+  /// ones — kept for the edit-survival test.
+  struct Entry {
+    std::vector<double> deps;
+    std::vector<std::uint32_t> hops;
+    std::vector<double> wdists;
+  };
+  using EntryPtr = std::shared_ptr<const Entry>;
+
+  /// Caching stays off until set_capacity(> 0).
+  DependencyMemo() = default;
+
+  DependencyMemo(const DependencyMemo&) = delete;
+  DependencyMemo& operator=(const DependencyMemo&) = delete;
+
+  /// Holds up to `max_entries` vectors; the map is bulk-cleared when an
+  /// insert finds it full. 0 disables caching and frees the store.
+  void set_capacity(std::size_t max_entries);
+  std::size_t capacity() const;
+
+  /// The entry for `source` at graph epoch `epoch`, or null.
+  EntryPtr Find(std::uint64_t epoch, VertexId source) const;
+
+  /// Stores `entry` for `source` unless caching is off, `epoch` is not the
+  /// memo's epoch, or a racing insert stored the source first.
+  void Insert(std::uint64_t epoch, VertexId source, EntryPtr entry);
+
+  /// Moves the memo from `from_epoch` to from_epoch + 1 after an edit
+  /// batch: entries failing `survives` are dropped, survivors are extended
+  /// to `num_vertices` with the values a fresh pass on the post-edit graph
+  /// would store (0 dependency, unreached distance). A no-op unless the
+  /// memo is at `from_epoch`: a sibling oracle already advanced it.
+  void Advance(std::uint64_t from_epoch, VertexId num_vertices,
+               const std::function<bool(const Entry&)>& survives);
+
+  /// Aligns the memo to a newly created oracle's epoch: an oracle created
+  /// after a mutation starts at that epoch, and a memo still behind it
+  /// holds entries of an older graph that no live oracle invalidated. It
+  /// is cleared and moved forward, so its inserts and the next Advance
+  /// are not skipped.
+  void Sync(std::uint64_t epoch);
+
+  /// Vectors currently held.
+  std::size_t size() const;
+
+  /// Cumulative entries dropped by Advance and Sync (the selectivity
+  /// readout).
+  std::uint64_t invalidated_entries() const;
+
+  /// The graph epoch the held entries belong to.
+  std::uint64_t epoch() const;
+
+ private:
+  mutable std::mutex mu_;
+  std::size_t capacity_ = 0;
+  std::uint64_t epoch_ = 0;
+  std::uint64_t invalidated_entries_ = 0;
+  std::unordered_map<VertexId, EntryPtr> entries_;
+};
+
+}  // namespace mhbc

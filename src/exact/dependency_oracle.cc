@@ -129,9 +129,16 @@ bool WeightedPassSurvivesEdits(const std::vector<double>& wdists,
 
 }  // namespace
 
-DependencyOracle::DependencyOracle(const CsrGraph& graph, SpdOptions spd)
-    : graph_(&graph), spd_(spd), accumulator_(graph) {
+DependencyOracle::DependencyOracle(const CsrGraph& graph, SpdOptions spd,
+                                   std::shared_ptr<DependencyMemo> memo,
+                                   std::uint64_t epoch)
+    : graph_(&graph),
+      spd_(spd),
+      accumulator_(graph),
+      graph_epoch_(epoch),
+      memo_(std::move(memo)) {
   BindKernel(graph);
+  if (memo_) memo_->Sync(graph_epoch_);
 }
 
 void DependencyOracle::BindKernel(const CsrGraph& graph) {
@@ -145,48 +152,36 @@ void DependencyOracle::BindKernel(const CsrGraph& graph) {
 }
 
 void DependencyOracle::set_cache_capacity(std::size_t max_entries) {
-  cache_capacity_ = max_entries;
-  if (cache_capacity_ == 0) cache_.clear();
+  if (!memo_) {
+    if (max_entries == 0) return;
+    memo_ = std::make_shared<DependencyMemo>();
+  }
+  memo_->set_capacity(max_entries);
 }
 
 void DependencyOracle::ApplyGraphDelta(const CsrGraph& new_graph,
                                        std::span<const GraphEdit> edits) {
+  if (memo_) {
+    // A weightedness or directedness flip re-keys every distance; drop
+    // everything. The survival tests read the kernel still bound to the
+    // pre-edit graph.
+    const bool flip = graph_->weighted() != new_graph.weighted() ||
+                      graph_->directed() != new_graph.directed();
+    const bool weighted = graph_->weighted();
+    const bool directed = graph_->directed();
+    memo_->Advance(graph_epoch_, new_graph.num_vertices(),
+                   [&](const DependencyMemo::Entry& entry) {
+                     if (edits.empty()) return true;
+                     if (flip) return false;
+                     return weighted
+                                ? WeightedPassSurvivesEdits(
+                                      entry.wdists, edits, *delta_, directed)
+                                : PassSurvivesEdits(entry.hops, edits,
+                                                    directed);
+                   });
+  }
   ++graph_epoch_;
-  const bool weighted = graph_->weighted() && new_graph.weighted();
-  const bool directed = graph_->directed();
-  if (!edits.empty()) {
-    if (graph_->weighted() != new_graph.weighted() ||
-        graph_->directed() != new_graph.directed()) {
-      // A weightedness or directedness flip re-keys every distance; drop
-      // everything.
-      invalidated_entries_ += cache_.size();
-      cache_.clear();
-    } else {
-      for (auto it = cache_.begin(); it != cache_.end();) {
-        const bool survives =
-            weighted ? WeightedPassSurvivesEdits(it->second.wdists, edits,
-                                                 *delta_, directed)
-                     : PassSurvivesEdits(it->second.hops, edits, directed);
-        if (survives) {
-          ++it;
-        } else {
-          ++invalidated_entries_;
-          it = cache_.erase(it);
-        }
-      }
-    }
-  }
-  // Surviving passes never reach an appended vertex: extend with the
-  // exact values a fresh pass on the new graph would store.
-  const std::size_t n = new_graph.num_vertices();
-  for (auto& [source, entry] : cache_) {
-    entry.deps.resize(n, 0.0);
-    if (weighted) {
-      entry.wdists.resize(n, -1.0);
-    } else {
-      entry.hops.resize(n, kUnreachedDistance);
-    }
-  }
+  pinned_.reset();
   graph_ = &new_graph;
   accumulator_ = DependencyAccumulator(new_graph);
   BindKernel(new_graph);
@@ -205,30 +200,27 @@ const ShortestPathDag& DependencyOracle::RunPass(VertexId source) {
 
 const std::vector<double>& DependencyOracle::Dependencies(VertexId source) {
   MHBC_DCHECK(source < graph_->num_vertices());
-  if (cache_capacity_ > 0) {
-    const auto it = cache_.find(source);
-    if (it != cache_.end()) {
+  if (memo_) {
+    if (DependencyMemo::EntryPtr hit = memo_->Find(graph_epoch_, source)) {
       ++cache_hits_;
-      return it->second.deps;
+      pinned_ = std::move(hit);
+      return pinned_->deps;
     }
   }
   const ShortestPathDag& dag = RunPass(source);
   const std::vector<double>& deps = accumulator_.Accumulate(dag);
-  if (cache_capacity_ > 0) {
-    // Bulk eviction keeps the policy trivial and deterministic; the cache
-    // refills from the live working set within one query's worth of passes.
-    if (cache_.size() >= cache_capacity_) cache_.clear();
-    CacheEntry entry;
-    entry.deps = deps;
+  if (memo_ && memo_->capacity() > 0) {
     // Each pass keeps its distances for the edit-survival test
     // (ApplyGraphDelta): hop distances unweighted, weighted distances
     // weighted.
+    auto entry = std::make_shared<DependencyMemo::Entry>();
+    entry->deps = deps;
     if (graph_->weighted()) {
-      entry.wdists = dag.wdist;
+      entry->wdists = dag.wdist;
     } else {
-      entry.hops = dag.dist;
+      entry->hops = dag.dist;
     }
-    return cache_.emplace(source, std::move(entry)).first->second.deps;
+    memo_->Insert(graph_epoch_, source, std::move(entry));
   }
   return deps;
 }

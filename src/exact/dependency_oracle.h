@@ -3,9 +3,9 @@
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
+#include "exact/dependency_memo.h"
 #include "graph/csr_graph.h"
 #include "graph/dynamic_graph.h"
 #include "sp/bfs_spd.h"
@@ -33,9 +33,13 @@ namespace mhbc {
 /// once, so a single oracle shared by several estimators (or by one
 /// estimator serving several target vertices — see centrality/engine.h)
 /// can memoize whole dependency vectors and serve repeated sources without
-/// re-running the pass. Memoization is opt-in via set_cache_capacity();
-/// cached answers are bit-identical to recomputed ones (the passes are
-/// deterministic), so caching never changes estimates, only work.
+/// re-running the pass. The vectors live in a DependencyMemo
+/// (exact/dependency_memo.h): private to the oracle by default (opt-in via
+/// set_cache_capacity()), or passed in at construction and shared with
+/// other oracles on the same graph — the serving catalog gives all
+/// sessions of a graph one memo. Cached answers are bit-identical to
+/// recomputed ones (the passes are deterministic), so caching never
+/// changes estimates, only work. Pass and hit counts stay per oracle.
 ///
 /// Graph mutation. The oracle supports epoch-tagged rebinding for the
 /// dynamic-graph path (BetweennessEngine::ApplyDelta): ApplyGraphDelta
@@ -61,7 +65,9 @@ namespace mhbc {
 /// sp/delta_spd.h). Passes failing their test for any edit in the batch
 /// are dropped; survivors are extended with unreached sentinels for
 /// appended vertices and served exactly as a fresh pass on the new graph
-/// would compute them.
+/// would compute them. On a shared memo the first oracle to rebind runs
+/// that invalidation once per epoch (DependencyMemo::Advance); the others
+/// only rebind their kernels.
 class DependencyOracle {
  public:
   /// The graph must outlive the oracle. Weighted graphs automatically use
@@ -69,8 +75,13 @@ class DependencyOracle {
   /// engine — both configured by `spd` (α/β, thread count,
   /// grain, and bucket width change only the work per pass — the
   /// dependency vectors are bit-identical across all settings, see
-  /// sp/bfs_spd.h and sp/delta_spd.h).
-  explicit DependencyOracle(const CsrGraph& graph, SpdOptions spd = SpdOptions());
+  /// sp/bfs_spd.h and sp/delta_spd.h). A non-null `memo` is shared with
+  /// the other oracles it was given to; `epoch` is the graph epoch
+  /// `graph` is at (an oracle created after mutations starts there, so
+  /// the shared memo's next invalidation is not skipped).
+  explicit DependencyOracle(const CsrGraph& graph, SpdOptions spd = SpdOptions(),
+                            std::shared_ptr<DependencyMemo> memo = nullptr,
+                            std::uint64_t epoch = 0);
 
   /// Runs one counted shortest-path pass from `source` and returns its DAG
   /// (valid until the next pass). Neither reads nor fills the memo and
@@ -84,19 +95,22 @@ class DependencyOracle {
 
   /// Runs one pass from `source` (or serves the memoized vector) and
   /// returns the whole dependency vector delta_{source.}(.) (valid until
-  /// the next call). A miss is RunPass plus one accumulation.
+  /// the next call: the oracle pins a served memo entry, so another
+  /// oracle clearing a shared memo cannot free it). A miss is RunPass
+  /// plus one accumulation.
   const std::vector<double>& Dependencies(VertexId source);
 
-  /// Enables memoization of up to `max_entries` dependency vectors
-  /// (memory: max_entries * n doubles, plus n u32 hop distances per entry
-  /// on unweighted graphs or n doubles of weighted distances on weighted
+  /// Enables memoization of up to `max_entries` dependency vectors in the
+  /// oracle's memo, creating a private one if none was passed in (memory:
+  /// max_entries * n doubles, plus n u32 hop distances per entry on
+  /// unweighted graphs or n doubles of weighted distances on weighted
   /// ones; the cache is bulk-evicted when full). The distance vectors are
   /// kept unconditionally — a +50-100% per-entry cost even for
   /// never-mutated workloads — because the passes memoized *before* the
   /// first edit are exactly the warm state ApplyGraphDelta exists to
   /// preserve; retaining distances lazily would force that first edit to
   /// drop everything. 0 (the default) disables caching and frees the
-  /// store.
+  /// store (for every oracle sharing it).
   void set_cache_capacity(std::size_t max_entries);
 
   /// Rebinds the oracle to `new_graph` — the graph produced by applying
@@ -116,29 +130,22 @@ class DependencyOracle {
   /// Number of Dependencies() calls served from the memo without a pass.
   std::uint64_t cache_hits() const { return cache_hits_; }
 
-  /// Number of ApplyGraphDelta rebinds so far (0 = construction graph).
+  /// The graph epoch: the construction epoch plus ApplyGraphDelta rebinds.
   std::uint64_t graph_epoch() const { return graph_epoch_; }
 
-  /// Memoized passes currently held.
-  std::size_t cached_entries() const { return cache_.size(); }
+  /// Memoized passes currently held (by the memo, shared or not).
+  std::size_t cached_entries() const { return memo_ ? memo_->size() : 0; }
 
   /// Cumulative memo entries dropped by ApplyGraphDelta edits (the
   /// selectivity readout: low relative to cached_entries() means most
-  /// passes survive each edit batch).
-  std::uint64_t invalidated_entries() const { return invalidated_entries_; }
+  /// passes survive each edit batch). A shared memo counts each drop once.
+  std::uint64_t invalidated_entries() const {
+    return memo_ ? memo_->invalidated_entries() : 0;
+  }
 
   const CsrGraph& graph() const { return *graph_; }
 
  private:
-  /// One memoized pass: the dependency vector plus the pass' distances —
-  /// hop distances on unweighted graphs, weighted distances on weighted
-  /// ones — kept for the edit-survival test.
-  struct CacheEntry {
-    std::vector<double> deps;
-    std::vector<std::uint32_t> hops;
-    std::vector<double> wdists;
-  };
-
   /// Builds the one SPD kernel for `graph` (DeltaSpd weighted, BfsSpd
   /// unweighted), dropping the previous one.
   void BindKernel(const CsrGraph& graph);
@@ -151,9 +158,10 @@ class DependencyOracle {
   std::uint64_t num_passes_ = 0;
   std::uint64_t cache_hits_ = 0;
   std::uint64_t graph_epoch_ = 0;
-  std::uint64_t invalidated_entries_ = 0;
-  std::size_t cache_capacity_ = 0;
-  std::unordered_map<VertexId, CacheEntry> cache_;
+  /// Null until set_cache_capacity(> 0) unless one was passed in.
+  std::shared_ptr<DependencyMemo> memo_;
+  /// The memo entry Dependencies() last served.
+  DependencyMemo::EntryPtr pinned_;
 };
 
 }  // namespace mhbc

@@ -1,5 +1,6 @@
 #include "serve/catalog.h"
 
+#include <algorithm>
 #include <utility>
 
 namespace mhbc::serve {
@@ -44,14 +45,17 @@ GraphEntry::GraphEntry(std::string name, CsrGraph graph,
                        const EngineOptions& options, std::size_t sessions)
     : name_(std::move(name)),
       graph_(std::move(graph)),
+      memo_(std::make_shared<DependencyMemo>()),
       num_vertices_(graph_.num_vertices()),
       num_edges_(graph_.num_edges()),
       directed_(graph_.directed()) {
   if (sessions == 0) sessions = 1;
   sessions_.reserve(sessions);
   free_.reserve(sessions);
+  counters_.resize(sessions);
   for (std::size_t i = 0; i < sessions; ++i) {
-    sessions_.push_back(std::make_unique<BetweennessEngine>(graph_, options));
+    sessions_.push_back(
+        std::make_unique<BetweennessEngine>(graph_, options, memo_));
     free_.push_back(sessions_.back().get());
   }
 }
@@ -68,14 +72,22 @@ ReadLease GraphEntry::AcquireRead() {
 }
 
 void GraphEntry::ReturnSession(BetweennessEngine* engine) {
+  // The returning lease still owns the engine: its counters are read
+  // before it is back in the pool, where another reader may take it.
+  const SessionCounters counters{engine->total_sp_passes(),
+                                 engine->dependency_cache_hits()};
   {
     std::lock_guard<std::mutex> lock(mu_);
+    const auto it = std::find_if(
+        sessions_.begin(), sessions_.end(),
+        [engine](const auto& session) { return session.get() == engine; });
+    counters_[static_cast<std::size_t>(it - sessions_.begin())] = counters;
     free_.push_back(engine);
   }
   cv_.notify_all();
 }
 
-Status GraphEntry::Mutate(const GraphDelta& delta) {
+StatusOr<GraphEntryStats> GraphEntry::Mutate(const GraphDelta& delta) {
   std::unique_lock<std::mutex> lock(mu_);
   ++writers_waiting_;
   cv_.wait(lock, [this] {
@@ -116,14 +128,20 @@ Status GraphEntry::Mutate(const GraphDelta& delta) {
       num_edges_ = session.graph().num_edges();
     }
   }
+  const GraphEntryStats installed = StatsLocked();
   writer_active_ = false;
   lock.unlock();
   cv_.notify_all();
-  return applied;
+  if (!applied.ok()) return applied;
+  return installed;
 }
 
 GraphEntryStats GraphEntry::Stats() const {
   std::lock_guard<std::mutex> lock(mu_);
+  return StatsLocked();
+}
+
+GraphEntryStats GraphEntry::StatsLocked() const {
   GraphEntryStats stats;
   stats.epoch = epoch_;
   stats.sessions = sessions_.size();
@@ -133,6 +151,12 @@ GraphEntryStats GraphEntry::Stats() const {
   stats.num_vertices = num_vertices_;
   stats.num_edges = num_edges_;
   stats.directed = directed_;
+  stats.memo_entries = memo_->size();
+  stats.memo_invalidated = memo_->invalidated_entries();
+  for (const SessionCounters& counters : counters_) {
+    stats.sp_passes += counters.sp_passes;
+    stats.cache_hits += counters.cache_hits;
+  }
   return stats;
 }
 

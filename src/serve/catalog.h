@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "centrality/engine.h"
+#include "exact/dependency_memo.h"
 #include "graph/csr_graph.h"
 #include "graph/dynamic_graph.h"
 #include "util/status.h"
@@ -21,19 +22,23 @@
 /// of concurrency is one engine per in-flight reader: each catalog entry
 /// owns a fixed pool of engines ("sessions") built on the same graph with
 /// the same options, and a reader checks one out through an RAII
-/// ReadLease. Warm sessions are the point of the pool — each engine's
-/// dependency memo and whole-graph products persist across requests, so
-/// repeat queries amortize exactly as the engine API promises.
+/// ReadLease. Warm state is the point of the pool. The sessions share one
+/// DependencyMemo per entry (exact/dependency_memo.h), so a pass any
+/// session paid for serves every later request on the entry, whichever
+/// session takes it; each engine's whole-graph products (exact scores, RK
+/// credit vector) persist across the requests that session serves.
 ///
 /// Mutation installs atomically under a writer-preferred guard: Mutate()
 /// blocks new readers, drains the in-flight ones (waits until every
 /// session is back in the pool), applies the *same* GraphDelta to every
-/// pooled engine, and advances the entry epoch. Because the engine's
-/// ApplyDelta contract makes post-edit reports bit-identical to a cold
-/// engine on the post-edit graph, every session leaves the critical
-/// section bit-equivalent: a reader can never observe a half-installed
-/// delta, and two concurrent readers at the same epoch get bit-identical
-/// statistical report fields no matter which pooled session served them.
+/// pooled engine, and advances the entry epoch. The shared memo is
+/// invalidated once per epoch, by the first session whose oracle rebinds;
+/// the others only rebind their kernels. Because the engine's ApplyDelta
+/// contract makes post-edit reports bit-identical to a cold engine on the
+/// post-edit graph, every session leaves the critical section
+/// bit-equivalent: a reader can never observe a half-installed delta, and
+/// two concurrent readers at the same epoch get bit-identical statistical
+/// report fields no matter which pooled session served them.
 /// tests/serve_concurrency_test.cc holds this to the bit.
 ///
 /// The catalog itself is fixed at startup (register every graph before
@@ -87,14 +92,24 @@ struct GraphEntryStats {
   std::uint64_t num_edges = 0;
   /// Directedness of the served graph (fixed at registration).
   bool directed = false;
+  /// Vectors held by the entry's shared dependency memo.
+  std::size_t memo_entries = 0;
+  /// Memo entries dropped by mutations, each counted once.
+  std::uint64_t memo_invalidated = 0;
+  /// Shortest-path passes and memo hits summed over the sessions, as of
+  /// each session's last return to the pool (a leased session's current
+  /// request is not counted yet).
+  std::uint64_t sp_passes = 0;
+  std::uint64_t cache_hits = 0;
 };
 
-/// One named graph: the owned base CSR plus its session pool and epoch
-/// guard. Pinned in memory (catalog entries live behind unique_ptr).
+/// One named graph: the owned base CSR plus its session pool, their
+/// shared dependency memo, and the epoch guard. Pinned in memory (catalog
+/// entries live behind unique_ptr).
 class GraphEntry {
  public:
-  /// Builds `sessions` engines over the owned copy of `graph`.
-  /// `sessions` must be >= 1.
+  /// Builds `sessions` engines over the owned copy of `graph`, all on one
+  /// dependency memo. `sessions` must be >= 1.
   GraphEntry(std::string name, CsrGraph graph, const EngineOptions& options,
              std::size_t sessions);
 
@@ -109,25 +124,37 @@ class GraphEntry {
   ReadLease AcquireRead();
 
   /// Drains readers, applies `delta` to every pooled session, advances
-  /// the epoch. Validation runs against the first session (whose
-  /// ApplyDelta is atomic), so an invalid delta returns InvalidArgument
-  /// with every session untouched and the epoch unchanged. An empty
-  /// delta is a successful no-op that keeps the epoch.
-  Status Mutate(const GraphDelta& delta);
+  /// the epoch, and returns the entry's stats as this call installed them
+  /// (read before the guard reopens, so a concurrent mutation cannot
+  /// swap in its epoch or shape). Validation runs against the first
+  /// session (whose ApplyDelta is atomic), so an invalid delta returns
+  /// InvalidArgument with every session untouched and the epoch
+  /// unchanged. An empty delta is a successful no-op that keeps the epoch.
+  StatusOr<GraphEntryStats> Mutate(const GraphDelta& delta);
 
   GraphEntryStats Stats() const;
 
  private:
   friend class ReadLease;
   void ReturnSession(BetweennessEngine* engine);
+  /// Stats() body; the caller holds mu_.
+  GraphEntryStats StatsLocked() const;
+
+  /// A session's work counters as of its last return to the pool.
+  struct SessionCounters {
+    std::uint64_t sp_passes = 0;
+    std::uint64_t cache_hits = 0;
+  };
 
   const std::string name_;
   CsrGraph graph_;  ///< construction base; engines own post-edit state
+  const std::shared_ptr<DependencyMemo> memo_;
   std::vector<std::unique_ptr<BetweennessEngine>> sessions_;
 
   mutable std::mutex mu_;
   std::condition_variable cv_;
   std::vector<BetweennessEngine*> free_;  ///< checkout stack
+  std::vector<SessionCounters> counters_;  ///< parallel to sessions_
   std::size_t writers_waiting_ = 0;
   bool writer_active_ = false;
   std::uint64_t epoch_ = 0;

@@ -335,11 +335,12 @@ std::string Server::ExecuteMutate(Job& job, GraphEntry& entry) {
     return ErrorFor(request, ServeErrorClass::kField,
                     delta.status().message());
   }
-  const Status applied = entry.Mutate(delta.value());
-  if (!applied.ok()) {
-    return ErrorFor(request, ClassifyStatus(applied), applied.message());
+  auto installed = entry.Mutate(delta.value());
+  if (!installed.ok()) {
+    return ErrorFor(request, ClassifyStatus(installed.status()),
+                    installed.status().message());
   }
-  const GraphEntryStats stats = entry.Stats();
+  const GraphEntryStats& stats = installed.value();
   std::ostringstream result;
   result << "{\"applied_ops\": " << delta.value().size()
          << ", \"num_vertices\": " << stats.num_vertices
@@ -373,7 +374,11 @@ std::string Server::ExecuteStats(const ServeRequest& request) {
            << ", \"mutations_applied\": " << g.mutations_applied
            << ", \"num_vertices\": " << g.num_vertices
            << ", \"num_edges\": " << g.num_edges
-           << ", \"directed\": " << (g.directed ? "true" : "false") << "}";
+           << ", \"directed\": " << (g.directed ? "true" : "false")
+           << ", \"memo_entries\": " << g.memo_entries
+           << ", \"memo_invalidated\": " << g.memo_invalidated
+           << ", \"sp_passes\": " << g.sp_passes
+           << ", \"cache_hits\": " << g.cache_hits << "}";
   }
   result << "], \"queue_depth\": " << server.queue_depth
          << ", \"queue_capacity\": " << options_.queue_capacity

@@ -16,6 +16,7 @@
 
 #include "centrality/engine.h"
 #include "datasets/registry.h"
+#include "exact/dependency_memo.h"
 #include "graph/dynamic_graph.h"
 #include "gtest/gtest.h"
 #include "serve/protocol.h"
@@ -75,7 +76,13 @@ std::string EstimateLine(std::uint64_t id, std::uint64_t seed) {
          ", \"seed\": " + std::to_string(seed) + "}";
 }
 
-TEST(ServeConcurrencyTest, ConcurrentReadsMatchColdEngineAtEveryEpoch) {
+/// The replay harness at a given session count: one session serializes
+/// every reader on one engine, more sessions serve concurrently from the
+/// entry's one shared memo. The statistical fields must not depend on it.
+class ServeSessionsTest : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(ServeSessionsTest, ConcurrentReadsMatchColdEngineAtEveryEpoch) {
+  const std::size_t sessions = GetParam();
   auto base = MakeDataset("caveman-36");
   ASSERT_TRUE(base.ok());
 
@@ -101,7 +108,7 @@ TEST(ServeConcurrencyTest, ConcurrentReadsMatchColdEngineAtEveryEpoch) {
   GraphCatalog catalog;
   ASSERT_TRUE(catalog
                   .AddGraph("caveman-36", base.value(), engine_options,
-                            /*sessions=*/kReaderThreads)
+                            sessions)
                   .ok());
   ServerOptions server_options;
   server_options.workers = kReaderThreads + 1;
@@ -195,6 +202,10 @@ TEST(ServeConcurrencyTest, ConcurrentReadsMatchColdEngineAtEveryEpoch) {
   EXPECT_EQ(stats.sessions_free, stats.sessions);
   EXPECT_EQ(stats.mutations_applied, kMutations);
 }
+
+INSTANTIATE_TEST_SUITE_P(Sessions, ServeSessionsTest,
+                         ::testing::Values(std::size_t{1}, std::size_t{2},
+                                           std::size_t{4}));
 
 TEST(ServeConcurrencyTest, WriterDrainsReadersAndReadersNeverSeeTornPool) {
   // Direct catalog-level hammering (no protocol): many lease/release
@@ -311,6 +322,173 @@ TEST(ServeConcurrencyTest, StatsPairsEachEpochWithItsEdgeCount) {
   const GraphEntryStats final_stats = catalog.Find("caveman-36")->Stats();
   EXPECT_EQ(final_stats.epoch, kScripts);
   EXPECT_EQ(final_stats.num_edges, edges_at_epoch.back());
+}
+
+TEST(ServeConcurrencyTest, ConcurrentMutatesEachReportTheirOwnEpoch) {
+  // Each round, N one-edit scripts, each adding a distinct absent edge,
+  // race through `mutate` on N workers. Each response must describe the
+  // install it made, not a later one: a round's epochs are a permutation
+  // of the round's N epochs, and the edge count pairs with the epoch
+  // (every install adds one edge). The race window is short, so it is
+  // run for several rounds.
+  auto base = MakeDataset("caveman-36");
+  ASSERT_TRUE(base.ok());
+  const CsrGraph& graph = base.value();
+  constexpr std::size_t kWriters = 6;
+  constexpr std::size_t kRounds = 20;
+  std::vector<std::pair<VertexId, VertexId>> absent;
+  for (VertexId u = 0;
+       u < graph.num_vertices() && absent.size() < kWriters * kRounds; ++u) {
+    for (VertexId v = u + 1; v < graph.num_vertices() &&
+                             absent.size() < kWriters * kRounds;
+         ++v) {
+      if (!graph.HasEdge(u, v)) absent.emplace_back(u, v);
+    }
+  }
+  ASSERT_EQ(absent.size(), kWriters * kRounds);
+
+  GraphCatalog catalog;
+  ASSERT_TRUE(
+      catalog.AddGraph("caveman-36", graph, EngineOptions(), /*sessions=*/2)
+          .ok());
+  ServerOptions server_options;
+  server_options.workers = kWriters;
+  Server server(&catalog, server_options);
+
+  for (std::size_t round = 0; round < kRounds; ++round) {
+    std::atomic<bool> go{false};
+    std::vector<std::string> responses(kWriters);
+    std::vector<std::thread> writers;
+    for (std::size_t w = 0; w < kWriters; ++w) {
+      const auto [u, v] = absent[round * kWriters + w];
+      writers.emplace_back([&, w, u, v] {
+        while (!go.load()) std::this_thread::yield();
+        responses[w] = server.Call(
+            "{\"id\": " + std::to_string(w) +
+            ", \"method\": \"mutate\", \"graph\": \"caveman-36\", "
+            "\"edits\": \"add " +
+            std::to_string(u) + " " + std::to_string(v) + "\"}");
+      });
+    }
+    go.store(true);
+    for (std::thread& writer : writers) writer.join();
+
+    const std::uint64_t first = round * kWriters + 1;
+    std::vector<bool> seen(kWriters, false);
+    for (const std::string& line : responses) {
+      auto response = ParseServeResponse(line);
+      ASSERT_TRUE(response.ok()) << line;
+      ASSERT_TRUE(response.value().ok) << line;
+      const std::uint64_t epoch = response.value().epoch;
+      ASSERT_GE(epoch, first) << line;
+      ASSERT_LT(epoch, first + kWriters) << line;
+      EXPECT_FALSE(seen[epoch - first]) << "epoch " << epoch
+                                        << " answered twice";
+      seen[epoch - first] = true;
+      std::uint64_t num_edges = 0;
+      ASSERT_TRUE(
+          response.value().body.Find("result")->Find("num_edges")->AsUint64(
+              &num_edges))
+          << line;
+      EXPECT_EQ(num_edges, graph.num_edges() + epoch) << line;
+    }
+  }
+}
+
+/// The per-graph counters of one `stats` reply.
+struct MemoCounters {
+  std::uint64_t memo_entries = 0;
+  std::uint64_t memo_invalidated = 0;
+  std::uint64_t sp_passes = 0;
+  std::uint64_t cache_hits = 0;
+};
+
+MemoCounters ReadMemoCounters(Server& server) {
+  MemoCounters counters;
+  const std::string line =
+      server.Call(R"({"method": "stats", "graph": "caveman-36"})");
+  auto response = ParseServeResponse(line);
+  EXPECT_TRUE(response.ok()) << line;
+  if (!response.ok()) return counters;
+  const JsonValue* graphs =
+      response.value().body.Find("result")->Find("graphs");
+  EXPECT_TRUE(graphs != nullptr && graphs->array.size() == 1) << line;
+  if (graphs == nullptr || graphs->array.size() != 1) return counters;
+  const JsonValue& graph = graphs->array[0];
+  const auto read = [&](const char* key, std::uint64_t* out) {
+    const JsonValue* field = graph.Find(key);
+    EXPECT_TRUE(field != nullptr && field->AsUint64(out)) << key << ": " << line;
+  };
+  read("memo_entries", &counters.memo_entries);
+  read("memo_invalidated", &counters.memo_invalidated);
+  read("sp_passes", &counters.sp_passes);
+  read("cache_hits", &counters.cache_hits);
+  return counters;
+}
+
+TEST(ServeConcurrencyTest, StatsMemoCountersReconcileWithRequestsIssued) {
+  // Requests issued one at a time to a two-session entry reconcile
+  // exactly with one engine that runs the same requests on its own memo:
+  // the sessions share one memo, so the summed passes and hits, the memo
+  // size and the invalidated count all equal that engine's. Counts, not
+  // timings, are checked.
+  auto base = MakeDataset("caveman-36");
+  ASSERT_TRUE(base.ok());
+  GraphCatalog catalog;
+  ASSERT_TRUE(catalog
+                  .AddGraph("caveman-36", base.value(), EngineOptions(),
+                            /*sessions=*/2)
+                  .ok());
+  Server server(&catalog, ServerOptions());
+  auto reference_memo = std::make_shared<DependencyMemo>();
+  BetweennessEngine reference(base.value(), EngineOptions(), reference_memo);
+
+  const auto expect_reconciled = [&](const std::string& after) {
+    const MemoCounters got = ReadMemoCounters(server);
+    EXPECT_EQ(got.sp_passes, reference.total_sp_passes()) << after;
+    EXPECT_EQ(got.cache_hits, reference.dependency_cache_hits()) << after;
+    EXPECT_EQ(got.memo_entries, reference_memo->size()) << after;
+    EXPECT_EQ(got.memo_invalidated, reference_memo->invalidated_entries())
+        << after;
+    return got;
+  };
+  const auto estimate = [&](std::uint64_t seed) {
+    const std::string line = server.Call(EstimateLine(seed, seed));
+    auto response = ParseServeResponse(line);
+    ASSERT_TRUE(response.ok() && response.value().ok) << line;
+    EstimateRequest request;
+    request.samples = kSamples;
+    request.seed = seed;
+    ASSERT_TRUE(reference.EstimateMany(kTargets, request).ok());
+  };
+
+  const MemoCounters start = expect_reconciled("start");
+  EXPECT_EQ(start.sp_passes, 0u);
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    estimate(seed);
+    expect_reconciled("estimate seed " + std::to_string(seed));
+  }
+  // A repeat is served wholly from the memo, whichever session takes it.
+  const MemoCounters warm = expect_reconciled("warm");
+  EXPECT_GT(warm.memo_entries, 0u);
+  estimate(1);
+  const MemoCounters repeat = expect_reconciled("repeat");
+  EXPECT_EQ(repeat.sp_passes, warm.sp_passes);
+  EXPECT_GT(repeat.cache_hits, warm.cache_hits);
+
+  const GraphDelta delta = MakeRandomEditScript(base.value(), 3, 0x5747);
+  const std::string line = server.Call(
+      "{\"id\": 1, \"method\": \"mutate\", \"graph\": \"caveman-36\", "
+      "\"edits\": \"" +
+      DeltaToText(delta) + "\"}");
+  auto response = ParseServeResponse(line);
+  ASSERT_TRUE(response.ok() && response.value().ok) << line;
+  ASSERT_TRUE(reference.ApplyDelta(delta).ok());
+  const MemoCounters mutated = expect_reconciled("mutate");
+  EXPECT_EQ(mutated.memo_invalidated,
+            warm.memo_entries - mutated.memo_entries);
+  estimate(5);
+  expect_reconciled("estimate after mutate");
 }
 
 }  // namespace
