@@ -41,7 +41,8 @@ int main() {
     const std::uint64_t run_budget = std::min(budget, kRunCap);
 
     EngineOptions engine_options;
-    engine_options.dependency_cache_bytes = 0;  // measure raw pass cost
+    // No memo: every chain step pays one (target-scoped) pass.
+    engine_options.dependency_cache_bytes = 0;
     BetweennessEngine engine(graph, engine_options);
     EstimateRequest request;
     request.kind = EstimatorKind::kMetropolisHastings;

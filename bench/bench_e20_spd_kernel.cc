@@ -14,6 +14,13 @@
 //                           between the settings ("!DET" must never
 //                           appear).
 //
+// A second table times target-scoped passes (BfsSpd::Run with a scope
+// vertex r, then the sweep stopped at d(s, r) + 1) against full pass +
+// sweep on a Barabasi-Albert graph, per target class (hub, median,
+// peripheral, a uniform draw per source): milliseconds per pass + sweep,
+// predecessor entries recorded per pass, and a det column checking that
+// the scoped delta_s(r) equals the full one bit for bit.
+//
 //   bench_e20_spd_kernel [sources_per_graph] [--smoke]
 //                        [--alpha=<a>] [--beta=<b>]
 //
@@ -26,7 +33,9 @@
 // "12x") prints it and exits 2.
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
+#include <numeric>
 #include <string>
 #include <utility>
 #include <vector>
@@ -36,6 +45,7 @@
 #include "graph/generators.h"
 #include "sp/bfs_spd.h"
 #include "sp/dependency.h"
+#include "util/rng.h"
 #include "util/timer.h"
 
 namespace {
@@ -114,6 +124,58 @@ bool KernelsAgree(const CsrGraph& graph, const SpdOptions& top_down,
     if (acc_a.Accumulate(a) != acc_b.Accumulate(b)) return false;
   }
   return true;
+}
+
+/// Full vs target-scoped pass + sweep over one source set, one target per
+/// source.
+struct ScopedRun {
+  double full_seconds = 0.0;
+  double scoped_seconds = 0.0;
+  std::uint64_t full_recorded = 0;
+  std::uint64_t scoped_recorded = 0;
+  bool det = true;
+};
+
+ScopedRun TimeScoped(const CsrGraph& graph,
+                     const std::vector<VertexId>& sources,
+                     const std::vector<VertexId>& targets) {
+  ScopedRun run;
+  BfsSpd bfs(graph);
+  DependencyAccumulator accumulator(graph);
+  constexpr int kRepeats = 3;
+  for (int r = 0; r < kRepeats; ++r) {
+    WallTimer full_timer;
+    for (VertexId s : sources) {
+      bfs.Run(s);
+      accumulator.Accumulate(bfs);
+    }
+    const double full_seconds = full_timer.ElapsedSeconds();
+    WallTimer scoped_timer;
+    for (std::size_t i = 0; i < sources.size(); ++i) {
+      bfs.Run(sources[i], targets[i]);
+      accumulator.Accumulate(bfs.dag(), targets[i]);
+    }
+    const double scoped_seconds = scoped_timer.ElapsedSeconds();
+    if (r == 0 || full_seconds < run.full_seconds) {
+      run.full_seconds = full_seconds;
+    }
+    if (r == 0 || scoped_seconds < run.scoped_seconds) {
+      run.scoped_seconds = scoped_seconds;
+    }
+  }
+  // Counters and the bit-identity check, one pass of each kind per source.
+  for (std::size_t i = 0; i < sources.size(); ++i) {
+    bfs.Run(sources[i]);
+    run.full_recorded += bfs.last_stats().pred_edges_recorded;
+    const double full = accumulator.Accumulate(bfs)[targets[i]];
+    bfs.Run(sources[i], targets[i]);
+    run.scoped_recorded += bfs.last_stats().pred_edges_recorded;
+    const double scoped =
+        accumulator.Accumulate(bfs.dag(), targets[i])[targets[i]];
+    run.det = run.det && std::bit_cast<std::uint64_t>(full) ==
+                             std::bit_cast<std::uint64_t>(scoped);
+  }
+  return run;
 }
 
 constexpr char kUsage[] =
@@ -226,12 +288,56 @@ int main(int argc, char** argv) {
       "examined; !DET flags a direction-equivalence violation — must never "
       "appear)",
       table);
+
+  // Target-scoped vs full pass + sweep, per target class.
+  const CsrGraph ba = MakeBarabasiAlbert(smoke ? 20000 : 100000, 4, 1);
+  const std::vector<VertexId> sources =
+      SpreadSources(ba.num_vertices(), sources_per_graph);
+  std::vector<VertexId> by_degree(ba.num_vertices());
+  std::iota(by_degree.begin(), by_degree.end(), VertexId{0});
+  std::stable_sort(by_degree.begin(), by_degree.end(),
+                   [&ba](VertexId a, VertexId b) {
+                     return ba.degree(a) < ba.degree(b);
+                   });
+  Rng rng(0xE20);
+  std::vector<VertexId> uniform;
+  for (std::size_t i = 0; i < sources.size(); ++i) {
+    uniform.push_back(rng.NextVertex(ba.num_vertices()));
+  }
+  const std::vector<std::pair<std::string, std::vector<VertexId>>> classes = {
+      {"hub", std::vector<VertexId>(sources.size(), by_degree.back())},
+      {"median", std::vector<VertexId>(sources.size(),
+                                       by_degree[by_degree.size() / 2])},
+      {"peripheral", std::vector<VertexId>(sources.size(), by_degree.front())},
+      {"uniform", uniform}};
+  Table scoped_table({"graph", "target", "full ms/pass", "scoped ms/pass",
+                      "scoped/full", "full recorded/pass",
+                      "scoped recorded/pass", "det"});
+  const double passes = static_cast<double>(sources.size());
+  for (const auto& [target_class, targets] : classes) {
+    const ScopedRun run = TimeScoped(ba, sources, targets);
+    all_deterministic = all_deterministic && run.det;
+    scoped_table.AddRow(
+        {"ba-" + FormatCount(ba.num_vertices()), target_class,
+         FormatDouble(run.full_seconds * 1e3 / passes, 3),
+         FormatDouble(run.scoped_seconds * 1e3 / passes, 3),
+         FormatDouble(run.scoped_seconds / run.full_seconds, 2),
+         FormatDouble(static_cast<double>(run.full_recorded) / passes, 0),
+         FormatDouble(static_cast<double>(run.scoped_recorded) / passes, 0),
+         run.det ? "ok" : "!DET"});
+  }
+  bench::EmitTable(
+      &json,
+      "E20: target-scoped vs full pass + sweep (ms per pass + sweep, "
+      "predecessor entries recorded; !DET flags a scoped delta_s(r) that "
+      "differs from the full sweep's — must never appear)",
+      scoped_table);
   const std::string written = json.Write();
   if (!written.empty()) std::printf("wrote %s\n", written.c_str());
   if (!all_deterministic) {
     // Fail the run (and the CI release-bench job): a !DET row means the
-    // optimized build broke hybrid/top-down bit-identity.
-    std::fprintf(stderr, "FAIL: direction-equivalence violation (!DET)\n");
+    // optimized build broke hybrid/top-down or scoped/full bit-identity.
+    std::fprintf(stderr, "FAIL: bit-identity violation (!DET)\n");
     return 1;
   }
   return 0;

@@ -555,8 +555,19 @@ void BetweennessEngine::ServeBatches(VertexId r,
 
 StatusOr<EstimateReport> BetweennessEngine::Estimate(
     VertexId r, const EstimateRequest& request) {
+  return EstimateTarget(r, request, /*one_target_call=*/true);
+}
+
+StatusOr<EstimateReport> BetweennessEngine::EstimateTarget(
+    VertexId r, const EstimateRequest& request, bool one_target_call) {
   const Status status = ValidateRequest(r, request);
   if (!status.ok()) return status;
+  // A call that reads one target from a memo too small to hold a pass
+  // from every source runs target-scoped passes: most of its whole
+  // vectors would be evicted unread. Multi-target calls keep full passes,
+  // which serve every target. Values are bit-identical either way.
+  const bool scoped = one_target_call && DependencyCacheEntries(*graph_) <
+                                             graph_->num_vertices();
 
   EstimateReport report;
   report.vertex = r;
@@ -569,6 +580,7 @@ StatusOr<EstimateReport> BetweennessEngine::Estimate(
     report.cache_hit = exact_ready_;
     report.value = exact_scores()[r];
   } else if (FindEstimator(request.kind)->chain_based) {
+    oracle()->set_scoped_reads(scoped);
     ServeChain(r, request, &report);
   } else if (request.kind == EstimatorKind::kShortestPath &&
              request.budget == BudgetKind::kSamples) {
@@ -583,6 +595,7 @@ StatusOr<EstimateReport> BetweennessEngine::Estimate(
     report.ess = static_cast<double>(request.samples);
     report.std_error = credit.std_errors[r];
   } else {
+    oracle()->set_scoped_reads(scoped);
     ServeBatches(r, request, &report);
   }
 
@@ -601,11 +614,18 @@ StatusOr<std::vector<EstimateReport>> BetweennessEngine::EstimateBatch(
     if (!status.ok()) return status;  // fail fast, before any work
   }
   // In order on the one shared memo: a pass paid for one query serves every
-  // later query that proposes the same source.
+  // later query that proposes the same source. A batch naming one vertex
+  // reads one target, like Estimate.
+  const bool one_target =
+      std::all_of(requests.begin(), requests.end(),
+                  [&requests](const EstimateRequest& request) {
+                    return request.vertex == requests.front().vertex;
+                  });
   std::vector<EstimateReport> reports;
   reports.reserve(requests.size());
   for (const EstimateRequest& request : requests) {
-    StatusOr<EstimateReport> report = Estimate(request.vertex, request);
+    StatusOr<EstimateReport> report =
+        EstimateTarget(request.vertex, request, one_target);
     if (!report.ok()) return report.status();
     reports.push_back(std::move(report).value());
   }

@@ -29,7 +29,10 @@
 /// EstimateRequest -> EstimateReport queries whose work amortizes across
 /// calls. Querying a second vertex on a live engine costs strictly fewer
 /// shortest-path passes than a second one-shot call, because dependency
-/// vectors computed for the first query are served from the memo.
+/// vectors computed for the first query are served from the memo. That
+/// holds while the memo can keep a pass from every source; below that
+/// budget single-vertex queries run target-scoped passes instead (see
+/// EngineOptions::dependency_cache_bytes).
 ///
 /// Quickstart:
 /// \code
@@ -186,6 +189,16 @@ struct EngineOptions {
   /// stays bounded on any graph size
   /// (capped at n entries — beyond that every source is already
   /// memoized). 0 disables cross-query pass reuse.
+  ///
+  /// When the capacity is below n (0 included), calls that read one
+  /// target — a single-vertex Estimate, or an EstimateBatch/EstimateMany
+  /// naming one vertex — run target-scoped passes on unweighted graphs
+  /// (DependencyOracle::set_scoped_reads): each records and sweeps only
+  /// the DAG below the target, and the memo keeps its answer as a scalar
+  /// (source, target, delta) entry instead of whole vectors, so such
+  /// entries cost no vector memory. Multi-target calls, exact builds and
+  /// capacity-n engines run full passes. Only work accounting
+  /// (sp_passes, cache_hit) depends on this; reports are bit-identical.
   std::size_t dependency_cache_bytes = std::size_t{256} << 20;  // 256 MiB
   /// Worker threads for the engine's two parallel builds: the exact
   /// Brandes scores and the RK credit batches. 0 = one per hardware
@@ -329,6 +342,13 @@ class BetweennessEngine {
   struct JointCache;   // cached joint-space result
 
   Status ValidateRequest(VertexId r, const EstimateRequest& request) const;
+
+  /// Estimate's body. `one_target_call` is true when the engine call
+  /// reads r alone (Estimate, or a batch naming one vertex): with a memo
+  /// that cannot hold every source, its oracle reads are target-scoped.
+  StatusOr<EstimateReport> EstimateTarget(VertexId r,
+                                          const EstimateRequest& request,
+                                          bool one_target_call);
   Status ValidateTargets(const std::vector<VertexId>& targets,
                          std::uint64_t iterations) const;
 

@@ -43,10 +43,15 @@ void DependencyMemo::Insert(std::uint64_t epoch, VertexId source,
                             EntryPtr entry) {
   std::lock_guard<std::mutex> lock(mu_);
   if (capacity_ == 0 || epoch != epoch_) return;
+  const auto it = entries_.find(source);
+  if (it != entries_.end()) {
+    if (it->second->scalar()) it->second = std::move(entry);
+    return;
+  }
   // Bulk eviction keeps the policy trivial; the memo refills from the live
   // working set within one query's worth of passes.
   if (entries_.size() >= capacity_) entries_.clear();
-  entries_.try_emplace(source, std::move(entry));
+  entries_.emplace(source, std::move(entry));
 }
 
 void DependencyMemo::Advance(
@@ -55,7 +60,7 @@ void DependencyMemo::Advance(
   std::lock_guard<std::mutex> lock(mu_);
   if (epoch_ != from_epoch) return;  // a sibling oracle already advanced
   for (auto it = entries_.begin(); it != entries_.end();) {
-    if (!survives(*it->second)) {
+    if (it->second->scalar() || !survives(*it->second)) {
       ++invalidated_entries_;
       it = entries_.erase(it);
       continue;

@@ -17,8 +17,10 @@
 
 namespace mhbc {
 
-/// Whole dependency vectors keyed by source, tagged with the graph epoch
-/// they were computed on.
+/// Dependency vectors keyed by source, tagged with the graph epoch they
+/// were computed on. An entry is either a whole pass (the vector plus the
+/// pass' distances) or a scoped read's scalar: delta_{source.}(target) for
+/// one target, with no vectors.
 ///
 /// Entries are immutable and handed out as shared_ptr<const Entry>: a
 /// reader that holds one keeps it valid even after another oracle clears
@@ -41,11 +43,21 @@ class DependencyMemo {
  public:
   /// One memoized pass: the dependency vector plus the pass' distances —
   /// hop distances on unweighted graphs, weighted distances on weighted
-  /// ones — kept for the edit-survival test.
+  /// ones — kept for the edit-survival test. A scalar entry (a
+  /// target-scoped read) leaves the vectors empty and holds
+  /// delta_{source.}(target) in `value`; it serves reads of `target` only.
   struct Entry {
     std::vector<double> deps;
     std::vector<std::uint32_t> hops;
     std::vector<double> wdists;
+    VertexId target = kInvalidVertex;
+    double value = 0.0;
+
+    bool scalar() const { return target != kInvalidVertex; }
+    /// True when the entry can answer delta_{source.}(t).
+    bool Serves(VertexId t) const { return !scalar() || target == t; }
+    /// delta_{source.}(t); requires Serves(t).
+    double Dependency(VertexId t) const { return scalar() ? value : deps[t]; }
   };
   using EntryPtr = std::shared_ptr<const Entry>;
 
@@ -55,8 +67,9 @@ class DependencyMemo {
   DependencyMemo(const DependencyMemo&) = delete;
   DependencyMemo& operator=(const DependencyMemo&) = delete;
 
-  /// Holds up to `max_entries` vectors; the map is bulk-cleared when an
-  /// insert finds it full. 0 disables caching and frees the store.
+  /// Holds up to `max_entries` entries (whole or scalar); the map is
+  /// bulk-cleared when an insert of a new source finds it full. 0 disables
+  /// caching and frees the store.
   void set_capacity(std::size_t max_entries);
   std::size_t capacity() const;
 
@@ -64,11 +77,13 @@ class DependencyMemo {
   EntryPtr Find(std::uint64_t epoch, VertexId source) const;
 
   /// Stores `entry` for `source` unless caching is off, `epoch` is not the
-  /// memo's epoch, or a racing insert stored the source first.
+  /// memo's epoch, or the source already has a whole entry (a racing
+  /// insert stored it first). Any entry replaces a scalar one.
   void Insert(std::uint64_t epoch, VertexId source, EntryPtr entry);
 
   /// Moves the memo from `from_epoch` to from_epoch + 1 after an edit
-  /// batch: entries failing `survives` are dropped, survivors are extended
+  /// batch: scalar entries and entries failing `survives` are dropped (a
+  /// scalar keeps no distances to test), survivors are extended
   /// to `num_vertices` with the values a fresh pass on the post-edit graph
   /// would store (0 dependency, unreached distance). A no-op unless the
   /// memo is at `from_epoch`: a sibling oracle already advanced it.

@@ -201,7 +201,8 @@ const ShortestPathDag& DependencyOracle::RunPass(VertexId source) {
 const std::vector<double>& DependencyOracle::Dependencies(VertexId source) {
   MHBC_DCHECK(source < graph_->num_vertices());
   if (memo_) {
-    if (DependencyMemo::EntryPtr hit = memo_->Find(graph_epoch_, source)) {
+    DependencyMemo::EntryPtr hit = memo_->Find(graph_epoch_, source);
+    if (hit && !hit->scalar()) {
       ++cache_hits_;
       pinned_ = std::move(hit);
       return pinned_->deps;
@@ -227,7 +228,24 @@ const std::vector<double>& DependencyOracle::Dependencies(VertexId source) {
 
 double DependencyOracle::Dependency(VertexId source, VertexId target) {
   MHBC_DCHECK(target < graph_->num_vertices());
-  return Dependencies(source)[target];
+  if (!scoped_reads_ || !bfs_) return Dependencies(source)[target];
+  if (memo_) {
+    const DependencyMemo::EntryPtr hit = memo_->Find(graph_epoch_, source);
+    if (hit && hit->Serves(target)) {
+      ++cache_hits_;
+      return hit->Dependency(target);
+    }
+  }
+  ++num_passes_;
+  bfs_->Run(source, target);
+  const double value = accumulator_.Accumulate(bfs_->dag(), target)[target];
+  if (memo_ && memo_->capacity() > 0) {
+    auto entry = std::make_shared<DependencyMemo::Entry>();
+    entry->target = target;
+    entry->value = value;
+    memo_->Insert(graph_epoch_, source, std::move(entry));
+  }
+  return value;
 }
 
 }  // namespace mhbc

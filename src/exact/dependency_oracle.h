@@ -41,6 +41,15 @@ namespace mhbc {
 /// recomputed ones (the passes are deterministic), so caching never
 /// changes estimates, only work. Pass and hit counts stay per oracle.
 ///
+/// Scoped reads. A caller that will read one target per pass and cannot
+/// expect whole vectors to be reused (the engine's single-target calls on
+/// a memo too small for every source) turns on set_scoped_reads. A
+/// Dependency() miss then runs a target-scoped BFS pass and sweep
+/// (BfsSpd::Run with a scope vertex), which record and sweep only the DAG
+/// below the target, and memoizes the answer as a scalar entry. The value
+/// is bit-identical to a full pass'. Dependencies() and weighted passes
+/// always run in full, and a full pass replaces a scalar entry.
+///
 /// Graph mutation. The oracle supports epoch-tagged rebinding for the
 /// dynamic-graph path (BetweennessEngine::ApplyDelta): ApplyGraphDelta
 /// points the oracle at the post-edit graph and drops *only* the memoized
@@ -90,7 +99,9 @@ class DependencyOracle {
   /// tables) rather than a dependency vector.
   const ShortestPathDag& RunPass(VertexId source);
 
-  /// Runs one pass from `source` and returns delta_{source.}(target).
+  /// Returns delta_{source.}(target): a memo hit (a whole entry, or a
+  /// scalar entry for `target`) or one pass from `source` — target-scoped
+  /// under set_scoped_reads on an unweighted graph, full otherwise.
   double Dependency(VertexId source, VertexId target);
 
   /// Runs one pass from `source` (or serves the memoized vector) and
@@ -99,6 +110,11 @@ class DependencyOracle {
   /// oracle clearing a shared memo cannot free it). A miss is RunPass
   /// plus one accumulation.
   const std::vector<double>& Dependencies(VertexId source);
+
+  /// Scopes later Dependency() misses to their target (see the class
+  /// comment). Off by default. A work knob: values are bit-identical
+  /// either way, only the pass cost and what the memo keeps change.
+  void set_scoped_reads(bool scoped) { scoped_reads_ = scoped; }
 
   /// Enables memoization of up to `max_entries` dependency vectors in the
   /// oracle's memo, creating a private one if none was passed in (memory:
@@ -158,6 +174,7 @@ class DependencyOracle {
   std::uint64_t num_passes_ = 0;
   std::uint64_t cache_hits_ = 0;
   std::uint64_t graph_epoch_ = 0;
+  bool scoped_reads_ = false;
   /// Null until set_cache_capacity(> 0) unless one was passed in.
   std::shared_ptr<DependencyMemo> memo_;
   /// The memo entry Dependencies() last served.

@@ -25,8 +25,9 @@ BfsSpd::BfsSpd(const CsrGraph& graph, SpdOptions options)
 
 BfsSpd::~BfsSpd() = default;
 
-void BfsSpd::Run(VertexId source) {
+void BfsSpd::Run(VertexId source, VertexId scope) {
   MHBC_DCHECK(source < graph_->num_vertices());
+  MHBC_DCHECK(scope == kInvalidVertex || scope < graph_->num_vertices());
   const VertexId n = graph_->num_vertices();
   if (visited_.empty()) {
     // First pass: size the visited bitmap and the predecessor storage.
@@ -39,7 +40,8 @@ void BfsSpd::Run(VertexId source) {
     dag_.pred_storage.assign(graph_->raw_in_adjacency().size(),
                              kInvalidVertex);
   }
-  // Reset only what the previous pass touched.
+  // Reset only what the previous pass touched. A scoped pass marks
+  // through pred_count alone, so this also clears every mark.
   for (VertexId v : dag_.order) {
     dag_.dist[v] = kUnreachedDistance;
     dag_.sigma[v] = 0;
@@ -49,8 +51,23 @@ void BfsSpd::Run(VertexId source) {
   dag_.order.clear();
   dag_.level_offsets.clear();
   dag_.source = source;
+  scope_ = scope;
   last_stats_ = Stats();
+  if (scope == kInvalidVertex) {
+    Traverse<false>(source);
+  } else {
+    Traverse<true>(source);
+  }
+  total_stats_.edges_examined += last_stats_.edges_examined;
+  total_stats_.top_down_levels += last_stats_.top_down_levels;
+  total_stats_.bottom_up_levels += last_stats_.bottom_up_levels;
+  total_stats_.direction_switches += last_stats_.direction_switches;
+  total_stats_.pred_edges_recorded += last_stats_.pred_edges_recorded;
+}
 
+template <bool kScoped>
+void BfsSpd::Traverse(VertexId source) {
+  const VertexId n = graph_->num_vertices();
   // Bits past n in the last bitmap word never correspond to vertices; mask
   // them out of every bottom-up word scan.
   const std::uint64_t tail_mask =
@@ -107,13 +124,12 @@ void BfsSpd::Run(VertexId source) {
     prev_frontier_size = frontier_.size();
 
     next_.clear();
-    std::uint64_t next_edges = 0;
-    std::uint64_t next_in_edges = 0;
+    LevelSums sums;
     if (bottom_up) {
       ++last_stats_.bottom_up_levels;
       last_stats_.edges_examined += unexplored_edges;
       if (UseParallel(unexplored_edges)) {
-        next_edges = BottomUpLevelParallel(depth, tail_mask, &next_in_edges);
+        sums = BottomUpLevelParallel<kScoped>(depth, tail_mask);
       } else {
         // Scan unvisited vertices in ascending id (so the next level needs
         // no sort) and gather all in-edge parents at the current depth; no
@@ -126,22 +142,27 @@ void BfsSpd::Run(VertexId source) {
                 (word << 6) + std::countr_zero(unvisited));
             unvisited &= unvisited - 1;
             SigmaCount sv = 0;
+            bool reached = false;
             std::uint32_t parents = 0;
             const std::size_t base = dag_.pred_begin[v];
             for (VertexId u : graph_->in_neighbors(v)) {
               if (dag_.dist[u] == depth) {
                 sv += dag_.sigma[u];
-                dag_.pred_storage[base + parents++] = u;
+                reached = true;
+                if (Records<kScoped>(u)) {
+                  dag_.pred_storage[base + parents++] = u;
+                }
               }
             }
-            if (parents != 0) {
+            if (reached) {
               dag_.dist[v] = depth + 1;
               dag_.sigma[v] = sv;
               dag_.pred_count[v] = parents;
               SetVisited(v);
               next_.push_back(v);
-              next_edges += graph_->degree(v);
-              next_in_edges += graph_->in_degree(v);
+              sums.out_edges += graph_->degree(v);
+              sums.in_edges += graph_->in_degree(v);
+              sums.recorded += parents;
             }
           }
         }
@@ -150,12 +171,13 @@ void BfsSpd::Run(VertexId source) {
       ++last_stats_.top_down_levels;
       last_stats_.edges_examined += frontier_edges;
       if (UseParallel(frontier_edges)) {
-        next_edges = TopDownLevelParallel(depth, &next_in_edges);
+        sums = TopDownLevelParallel<kScoped>(depth);
       } else {
         std::size_t lo_word = frontier_bits_.size();
         std::size_t hi_word = 0;
         for (VertexId u : frontier_) {
           const SigmaCount su = dag_.sigma[u];
+          const bool records = Records<kScoped>(u);
           for (VertexId v : graph_->neighbors(u)) {
             if (dag_.dist[v] == kUnreachedDistance) {
               dag_.dist[v] = depth + 1;
@@ -164,33 +186,32 @@ void BfsSpd::Run(VertexId source) {
               lo_word = std::min<std::size_t>(lo_word, v >> 6);
               hi_word = std::max<std::size_t>(hi_word, v >> 6);
               next_.push_back(v);
-              next_edges += graph_->degree(v);
-              next_in_edges += graph_->in_degree(v);
+              sums.out_edges += graph_->degree(v);
+              sums.in_edges += graph_->in_degree(v);
             }
             if (dag_.dist[v] == depth + 1) {
               // The frontier is sorted, so parents append in ascending id
               // — the same sequence a bottom-up in-neighbor scan records —
               // and sigma folds in the same order.
               dag_.sigma[v] += su;
-              dag_.pred_storage[dag_.pred_begin[v] + dag_.pred_count[v]++] =
-                  u;
+              if (records) {
+                dag_.pred_storage[dag_.pred_begin[v] +
+                                  dag_.pred_count[v]++] = u;
+                ++sums.recorded;
+              }
             }
           }
         }
         EmitAscending(&next_, lo_word, hi_word);
       }
     }
-    unexplored_edges -= next_in_edges;
-    frontier_edges = next_edges;
+    last_stats_.pred_edges_recorded += sums.recorded;
+    unexplored_edges -= sums.in_edges;
+    frontier_edges = sums.out_edges;
     frontier_.swap(next_);
     ++depth;
   }
   dag_.level_offsets.push_back(dag_.order.size());
-
-  total_stats_.edges_examined += last_stats_.edges_examined;
-  total_stats_.top_down_levels += last_stats_.top_down_levels;
-  total_stats_.bottom_up_levels += last_stats_.bottom_up_levels;
-  total_stats_.direction_switches += last_stats_.direction_switches;
 }
 
 void BfsSpd::EnsureParallelScratch() {
@@ -209,8 +230,7 @@ void BfsSpd::EnsureParallelScratch() {
   num_ranges_ = (n_words + words_per_range - 1) / words_per_range;
   buckets_.resize(kFrontierShards * num_ranges_);
   range_next_.resize(num_ranges_);
-  range_edges_.assign(num_ranges_, 0);
-  range_in_edges_.assign(num_ranges_, 0);
+  range_sums_.assign(num_ranges_, LevelSums());
 }
 
 void BfsSpd::EmitAscending(std::vector<VertexId>* level, std::size_t lo_word,
@@ -235,8 +255,8 @@ void BfsSpd::EmitAscending(std::vector<VertexId>* level, std::size_t lo_word,
   }
 }
 
-std::uint64_t BfsSpd::TopDownLevelParallel(std::uint32_t depth,
-                                           std::uint64_t* next_in_edges) {
+template <bool kScoped>
+BfsSpd::LevelSums BfsSpd::TopDownLevelParallel(std::uint32_t depth) {
   EnsureParallelScratch();
   // Phase 1 — fan out over fixed frontier shards: each shard examines its
   // contiguous slice of the (sorted) frontier and buckets every candidate
@@ -268,16 +288,15 @@ std::uint64_t BfsSpd::TopDownLevelParallel(std::uint32_t depth,
   // ascending frontier order, so for any fixed v the contributions arrive
   // in ascending parent id — the exact fold order of the sequential
   // steps, making the (floating-point) sigma sums bit-identical. Every
-  // write lands in the owner's range; sigma/dist reads of parents touch
-  // the previous level only, which no one writes here.
-  std::uint64_t next_edges = 0;
+  // write lands in the owner's range; sigma/dist/mark reads of parents
+  // touch the previous level only, which no one writes here.
+  LevelSums sums;
   ParallelShardedLevel(
       pool_.get(), num_ranges_,
       [this, depth](unsigned, std::size_t range) {
         std::vector<VertexId>& seg = range_next_[range];
         seg.clear();
-        std::uint64_t seg_edges = 0;
-        std::uint64_t seg_in_edges = 0;
+        LevelSums seg_sums;
         std::size_t lo_word = frontier_bits_.size();
         std::size_t hi_word = 0;
         for (std::size_t shard = 0; shard < kFrontierShards; ++shard) {
@@ -291,12 +310,15 @@ std::uint64_t BfsSpd::TopDownLevelParallel(std::uint32_t depth,
               lo_word = std::min<std::size_t>(lo_word, c.v >> 6);
               hi_word = std::max<std::size_t>(hi_word, c.v >> 6);
               seg.push_back(c.v);
-              seg_edges += graph_->degree(c.v);
-              seg_in_edges += graph_->in_degree(c.v);
+              seg_sums.out_edges += graph_->degree(c.v);
+              seg_sums.in_edges += graph_->in_degree(c.v);
             }
             dag_.sigma[c.v] += dag_.sigma[c.u];
-            dag_.pred_storage[dag_.pred_begin[c.v] + dag_.pred_count[c.v]++] =
-                c.u;
+            if (Records<kScoped>(c.u)) {
+              dag_.pred_storage[dag_.pred_begin[c.v] +
+                                dag_.pred_count[c.v]++] = c.u;
+              ++seg_sums.recorded;
+            }
           }
           bucket.clear();
         }
@@ -304,21 +326,19 @@ std::uint64_t BfsSpd::TopDownLevelParallel(std::uint32_t depth,
         // emits from its own level-bitmap words and the ascending segments
         // concatenate into the globally sorted next frontier.
         EmitAscending(&seg, lo_word, hi_word);
-        range_edges_[range] = seg_edges;
-        range_in_edges_[range] = seg_in_edges;
+        range_sums_[range] = seg_sums;
       },
-      [this, &next_edges, next_in_edges](std::size_t range) {
+      [this, &sums](std::size_t range) {
         next_.insert(next_.end(), range_next_[range].begin(),
                      range_next_[range].end());
-        next_edges += range_edges_[range];
-        *next_in_edges += range_in_edges_[range];
+        sums.Add(range_sums_[range]);
       });
-  return next_edges;
+  return sums;
 }
 
-std::uint64_t BfsSpd::BottomUpLevelParallel(std::uint32_t depth,
-                                            std::uint64_t tail_mask,
-                                            std::uint64_t* next_in_edges) {
+template <bool kScoped>
+BfsSpd::LevelSums BfsSpd::BottomUpLevelParallel(std::uint32_t depth,
+                                                std::uint64_t tail_mask) {
   EnsureParallelScratch();
   // Publish the current frontier as a bitmap. The parent test below must
   // not read dist[u]: a neighbor u may be a *newly discovered* vertex
@@ -327,12 +347,13 @@ std::uint64_t BfsSpd::BottomUpLevelParallel(std::uint32_t depth,
   // after, so the bitmap is all-zero between steps.
   for (VertexId u : frontier_) MarkLevel(u);
   const std::uint32_t word_shift = range_shift_ - 6;
-  std::uint64_t next_edges = 0;
+  LevelSums sums;
   // One fan-out over word ranges: each owner runs the sequential scan body
   // on its words. Every write — dist, sigma, pred_count, pred_storage, the
   // visited word — targets a vertex in the owned range; parent reads
-  // (frontier bit, sigma) touch the stable previous level only. The scan
-  // visits candidates in ascending id, so each segment is born sorted.
+  // (frontier bit, sigma, mark) touch the stable previous level only. The
+  // scan visits candidates in ascending id, so each segment is born
+  // sorted.
   ParallelShardedLevel(
       pool_.get(), num_ranges_,
       [this, depth, tail_mask, word_shift](unsigned, std::size_t range) {
@@ -342,8 +363,7 @@ std::uint64_t BfsSpd::BottomUpLevelParallel(std::uint32_t depth,
                      visited_.size());
         std::vector<VertexId>& seg = range_next_[range];
         seg.clear();
-        std::uint64_t seg_edges = 0;
-        std::uint64_t seg_in_edges = 0;
+        LevelSums seg_sums;
         for (std::size_t word = word_begin; word < word_end; ++word) {
           std::uint64_t unvisited = ~visited_[word];
           if (word + 1 == visited_.size()) unvisited &= tail_mask;
@@ -352,38 +372,41 @@ std::uint64_t BfsSpd::BottomUpLevelParallel(std::uint32_t depth,
                 (word << 6) + std::countr_zero(unvisited));
             unvisited &= unvisited - 1;
             SigmaCount sv = 0;
+            bool reached = false;
             std::uint32_t parents = 0;
             const std::size_t base = dag_.pred_begin[v];
             for (VertexId u : graph_->in_neighbors(v)) {
               if ((frontier_bits_[u >> 6] >> (u & 63)) & 1) {
                 sv += dag_.sigma[u];
-                dag_.pred_storage[base + parents++] = u;
+                reached = true;
+                if (Records<kScoped>(u)) {
+                  dag_.pred_storage[base + parents++] = u;
+                }
               }
             }
-            if (parents != 0) {
+            if (reached) {
               dag_.dist[v] = depth + 1;
               dag_.sigma[v] = sv;
               dag_.pred_count[v] = parents;
               SetVisited(v);
               seg.push_back(v);
-              seg_edges += graph_->degree(v);
-              seg_in_edges += graph_->in_degree(v);
+              seg_sums.out_edges += graph_->degree(v);
+              seg_sums.in_edges += graph_->in_degree(v);
+              seg_sums.recorded += parents;
             }
           }
         }
-        range_edges_[range] = seg_edges;
-        range_in_edges_[range] = seg_in_edges;
+        range_sums_[range] = seg_sums;
       },
-      [this, &next_edges, next_in_edges](std::size_t range) {
+      [this, &sums](std::size_t range) {
         next_.insert(next_.end(), range_next_[range].begin(),
                      range_next_[range].end());
-        next_edges += range_edges_[range];
-        *next_in_edges += range_in_edges_[range];
+        sums.Add(range_sums_[range]);
       });
   for (VertexId u : frontier_) {
     frontier_bits_[u >> 6] &= ~(std::uint64_t{1} << (u & 63));
   }
-  return next_edges;
+  return sums;
 }
 
 }  // namespace mhbc

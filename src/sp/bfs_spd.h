@@ -59,6 +59,22 @@
 /// Levels below SpdOptions::parallel_grain examined edges run the
 /// (identical-output) sequential step, so tiny levels pay no fan-out cost.
 ///
+/// Target-scoped passes (Run with a scope vertex r) serve a read of the
+/// single dependency delta_s(r), which depends only on sigma and on r's
+/// DAG descendants. They compute dist, sigma, order and level_offsets
+/// exactly as a full pass does, but record a DAG edge u->v only when u is
+/// *marked*: u is r itself or already recorded a parent. Recording marks
+/// v, so the marked vertices are exactly r and its DAG descendants, and
+/// the recorded edges are exactly the DAG edges among them, each parent
+/// list in the full pass' order. Every descendant's child edges are
+/// recorded, which is all the sweep needs for delta_s(r). A mark is
+/// therefore pred_count[u] != 0 (or u == r): no separate bitmap,
+/// nothing left stale when r is unreached, and in a parallel step the
+/// mark of a parent (previous level, read-only) and the marks being
+/// written (this level, each in its range owner's slice) never share a
+/// memory location. The level loops are instantiated per mode, so a full
+/// pass runs no mark test.
+///
 /// Directed graphs: top-down expansion walks out-edges and every parent
 /// scan — the bottom-up step and recorded predecessor lists — walks
 /// in-edges (CsrGraph::in_neighbors, the transpose view), which on
@@ -91,6 +107,9 @@ class BfsSpd {
     std::uint32_t top_down_levels = 0;
     std::uint32_t bottom_up_levels = 0;
     std::uint32_t direction_switches = 0;
+    /// Predecessor entries stored: every SPD edge on a full pass, the
+    /// edges among the scope vertex and its descendants on a scoped one.
+    std::uint64_t pred_edges_recorded = 0;
   };
 
   /// Fixed number of frontier shards (and the cap on destination ranges)
@@ -116,8 +135,11 @@ class BfsSpd {
   ~BfsSpd();
 
   /// Computes dist/sigma/order, level offsets and predecessors from
-  /// `source`.
-  void Run(VertexId source);
+  /// `source`. With a `scope` vertex r the pass records only the DAG
+  /// edges among r and its descendants (see the file comment): enough for
+  /// the backward sweep to produce delta_source(r) bit-identically, and
+  /// nothing else of the dependency vector.
+  void Run(VertexId source, VertexId scope = kInvalidVertex);
 
   /// Result of the last Run. Valid until the next Run.
   const ShortestPathDag& dag() const { return dag_; }
@@ -140,19 +162,43 @@ class BfsSpd {
   bool UseParallel(std::uint64_t level_edges) const {
     return pool_ != nullptr && level_edges >= options_.parallel_grain;
   }
+  /// What a level step adds up about the level it settles: the new
+  /// level's out-degree sum (the next top-down cost), its in-degree sum
+  /// (the bottom-up cost ledger, which differs from the out-degree sum on
+  /// directed graphs), and the predecessor entries it recorded.
+  struct LevelSums {
+    std::uint64_t out_edges = 0;
+    std::uint64_t in_edges = 0;
+    std::uint64_t recorded = 0;
+    void Add(const LevelSums& other) {
+      out_edges += other.out_edges;
+      in_edges += other.in_edges;
+      recorded += other.recorded;
+    }
+  };
+
+  /// The level loop of Run, instantiated for full and scoped passes.
+  template <bool kScoped>
+  void Traverse(VertexId source);
+  /// True when a DAG edge out of `u` is recorded: always on a full pass,
+  /// on a scoped one only when u is marked (the scope vertex, or a vertex
+  /// that recorded a parent).
+  template <bool kScoped>
+  bool Records(VertexId u) const {
+    return !kScoped || u == scope_ || dag_.pred_count[u] != 0;
+  }
+
   /// Lazily sizes the destination ranges + per-shard buckets (a pure
   /// function of |V|).
   void EnsureParallelScratch();
-  /// Frontier-parallel top-down level step: settles depth+1, fills next_
-  /// (sorted) and returns its out-degree sum; adds the new level's
-  /// in-degree sum (the bottom-up cost ledger, which differs from the
-  /// out-degree sum on directed graphs) to *next_in_edges.
-  std::uint64_t TopDownLevelParallel(std::uint32_t depth,
-                                     std::uint64_t* next_in_edges);
+  /// Frontier-parallel top-down level step: settles depth+1 and fills
+  /// next_ (sorted).
+  template <bool kScoped>
+  LevelSums TopDownLevelParallel(std::uint32_t depth);
   /// Word-range-parallel bottom-up level step; same outputs as above.
-  std::uint64_t BottomUpLevelParallel(std::uint32_t depth,
-                                      std::uint64_t tail_mask,
-                                      std::uint64_t* next_in_edges);
+  template <bool kScoped>
+  LevelSums BottomUpLevelParallel(std::uint32_t depth,
+                                  std::uint64_t tail_mask);
 
   /// Sets v's bit in frontier_bits_.
   void MarkLevel(VertexId v) {
@@ -174,6 +220,8 @@ class BfsSpd {
   const CsrGraph* graph_;
   SpdOptions options_;
   ShortestPathDag dag_;
+  /// The scope vertex of the running pass (kInvalidVertex: full pass).
+  VertexId scope_ = kInvalidVertex;
   /// Frontier scratch: current level / next level under construction.
   std::vector<VertexId> frontier_;
   std::vector<VertexId> next_;
@@ -200,10 +248,9 @@ class BfsSpd {
   /// Candidate buckets, indexed [shard * num_ranges_ + range]; capacity is
   /// retained across levels and passes.
   std::vector<std::vector<TdCandidate>> buckets_;
-  /// Per-range next-frontier segments + their out-/in-degree sums.
+  /// Per-range next-frontier segments + their level sums.
   std::vector<std::vector<VertexId>> range_next_;
-  std::vector<std::uint64_t> range_edges_;
-  std::vector<std::uint64_t> range_in_edges_;
+  std::vector<LevelSums> range_sums_;
   /// Level bitmap, one bit per vertex, all-zero outside a step. A top-down
   /// step marks the next level in it to emit that level sorted; a parallel
   /// bottom-up step publishes the current frontier in it so the parent

@@ -46,7 +46,15 @@ class DependencyAccumulator {
   /// Dijkstra) funnels through. The DAG must come from a pass on the graph
   /// this accumulator is bound to. Result valid until the next Accumulate
   /// call.
-  const std::vector<double>& Accumulate(const ShortestPathDag& dag);
+  ///
+  /// With a `scope` vertex r the DAG must come from BfsSpd::Run(source, r):
+  /// the sweep stops after level d(s, r) + 1 and only r's DAG descendants
+  /// carry parents, so only the entry for r is meaningful. Every
+  /// descendant receives the same terms in the same order as in a full
+  /// sweep (vertices without recorded parents add nothing), so delta(r)
+  /// is bit-identical to the full sweep's.
+  const std::vector<double>& Accumulate(const ShortestPathDag& dag,
+                                        VertexId scope = kInvalidVertex);
 
   /// Convenience overloads for the engines.
   const std::vector<double>& Accumulate(const BfsSpd& bfs) {

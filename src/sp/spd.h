@@ -152,11 +152,16 @@ struct ShortestPathDag {
 /// within a level when the DAG carries level offsets (BFS levels, DeltaSpd
 /// waves), falling back to reverse settle order (heap-order Dijkstra DAGs). This single definition is what
 /// pins the floating-point regrouping of every backward sweep in the
-/// library, so it must not fork per caller.
+/// library, so it must not fork per caller. A positive `stop_level` ends
+/// the walk after level stop_level (levels below it are not visited); it
+/// needs level offsets. A target-scoped sweep stops at d(s, r) + 1, the
+/// shallowest level that can still feed delta_s(r).
 template <typename Visit>
-void ForEachDeepestFirst(const ShortestPathDag& dag, Visit&& visit) {
+void ForEachDeepestFirst(const ShortestPathDag& dag, Visit&& visit,
+                         std::size_t stop_level = 0) {
+  MHBC_DCHECK(stop_level == 0 || !dag.level_offsets.empty());
   if (!dag.level_offsets.empty()) {
-    for (std::size_t level = dag.num_levels(); level-- > 0;) {
+    for (std::size_t level = dag.num_levels(); level-- > stop_level;) {
       const std::size_t end = dag.level_offsets[level + 1];
       for (std::size_t i = dag.level_offsets[level]; i < end; ++i) {
         visit(dag.order[i]);
