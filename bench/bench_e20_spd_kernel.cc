@@ -21,6 +21,14 @@
 // predecessor entries recorded per pass, and a det column checking that
 // the scoped delta_s(r) equals the full one bit for bit.
 //
+// A third table runs 32-sample mh calls through two engines on the same
+// graph, per target class: one with the default memo (capacity below n,
+// so zero screens answer zero dependencies without a pass) and one with
+// the memo off (no screens). It reports the passes per call of each,
+// screen builds included, the share of dependency reads a screen
+// answered, and a det column checking that both engines report the same
+// value bit for bit.
+//
 //   bench_e20_spd_kernel [sources_per_graph] [--smoke]
 //                        [--alpha=<a>] [--beta=<b>]
 //
@@ -41,6 +49,7 @@
 #include <vector>
 
 #include "bench_common.h"
+#include "centrality/engine.h"
 #include "datasets/registry.h"
 #include "graph/generators.h"
 #include "sp/bfs_spd.h"
@@ -174,6 +183,43 @@ ScopedRun TimeScoped(const CsrGraph& graph,
         accumulator.Accumulate(bfs.dag(), targets[i])[targets[i]];
     run.det = run.det && std::bit_cast<std::uint64_t>(full) ==
                              std::bit_cast<std::uint64_t>(scoped);
+  }
+  return run;
+}
+
+/// Passes and screened reads of `calls` 32-sample mh calls per target,
+/// on an engine with the default memo and on a memo-off one.
+struct ScreenRun {
+  std::uint64_t calls = 0;
+  std::uint64_t screened_passes = 0;
+  std::uint64_t unscreened_passes = 0;
+  std::uint64_t screened_reads = 0;
+  bool det = true;
+};
+
+ScreenRun RunScreenCalls(const CsrGraph& graph,
+                         const std::vector<VertexId>& targets) {
+  ScreenRun run;
+  BetweennessEngine screened(graph);
+  EngineOptions memo_off;
+  memo_off.dependency_cache_bytes = 0;
+  BetweennessEngine unscreened(graph, memo_off);
+  for (std::size_t i = 0; i < targets.size(); ++i) {
+    EstimateRequest request;
+    request.samples = 32;
+    request.seed = 0xE20 + i;
+    const auto with = screened.Estimate(targets[i], request);
+    const auto without = unscreened.Estimate(targets[i], request);
+    if (!with.ok() || !without.ok()) {
+      run.det = false;
+      continue;
+    }
+    ++run.calls;
+    run.screened_passes += with.value().sp_passes;
+    run.unscreened_passes += without.value().sp_passes;
+    run.screened_reads += with.value().screened_reads;
+    run.det = run.det && std::bit_cast<std::uint64_t>(with.value().value) ==
+                             std::bit_cast<std::uint64_t>(without.value().value);
   }
   return run;
 }
@@ -332,6 +378,41 @@ int main(int argc, char** argv) {
       "predecessor entries recorded; !DET flags a scoped delta_s(r) that "
       "differs from the full sweep's — must never appear)",
       scoped_table);
+
+  // Zero screens: passes per 32-sample mh call with and without them.
+  // Memo off, every chain read is one pass, so the screened share is
+  // screened reads over the memo-off engine's passes.
+  const std::size_t calls = smoke ? 4 : 16;
+  Table screen_table({"graph", "target", "degree", "calls",
+                      "passes/call unscreened", "passes/call screened",
+                      "screened share", "det"});
+  for (const auto& [target_class, per_source] : classes) {
+    const std::vector<VertexId> targets(per_source.begin(),
+                                        per_source.begin() + std::min(
+                                            calls, per_source.size()));
+    const ScreenRun run = RunScreenCalls(ba, targets);
+    all_deterministic = all_deterministic && run.det;
+    const double n_calls = static_cast<double>(std::max<std::uint64_t>(
+        run.calls, 1));
+    screen_table.AddRow(
+        {"ba-" + FormatCount(ba.num_vertices()), target_class,
+         target_class == "uniform" ? "-" : FormatCount(ba.degree(targets[0])),
+         FormatCount(run.calls),
+         FormatDouble(static_cast<double>(run.unscreened_passes) / n_calls, 1),
+         FormatDouble(static_cast<double>(run.screened_passes) / n_calls, 1),
+         FormatDouble(static_cast<double>(run.screened_reads) /
+                          static_cast<double>(std::max<std::uint64_t>(
+                              run.unscreened_passes, 1)),
+                      2),
+         run.det ? "ok" : "!DET"});
+  }
+  bench::EmitTable(
+      &json,
+      "E20: zero screens — passes per 32-sample mh call on an engine whose "
+      "memo holds fewer than n passes (screens, builds included) vs a "
+      "memo-off engine (no screens); screened share = reads answered by a "
+      "screen; !DET flags differing reports — must never appear",
+      screen_table);
   const std::string written = json.Write();
   if (!written.empty()) std::printf("wrote %s\n", written.c_str());
   if (!all_deterministic) {

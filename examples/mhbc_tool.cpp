@@ -47,7 +47,8 @@
 //                    graphs where the source axis has no parallelism.
 //   --json           machine-readable output: tables render as
 //                    {"columns": ..., "rows": ...}, estimates as full
-//                    report objects (value, std_error, ci, passes, ...).
+//                    report objects (value, std_error, ci, passes,
+//                    cache_hit, screened_reads, ...).
 //   --graph=<file>   default graph file; commands taking a <graph>
 //                    positional use it when the positional is omitted
 //                    (e.g. `mhbc_tool --graph=g.mhbc stats`).
@@ -362,7 +363,8 @@ int CmdEstimate(const std::string& path, int argc, char** argv) {
           "\"samples_used\": %llu, \"std_error\": %.17g, "
           "\"ci_half_width\": %.17g, \"ess\": %.17g, "
           "\"acceptance_rate\": %.17g, \"sp_passes\": %llu, "
-          "\"cache_hit\": %s, \"converged\": %s, \"seconds\": %.6f}",
+          "\"cache_hit\": %s, \"screened_reads\": %llu, "
+          "\"converged\": %s, \"seconds\": %.6f}",
           i > 0 ? ", " : "", report.vertex, report.value,
           mhbc::EstimatorKindName(report.kind), KernelName(engine),
           engine.options().spd.num_threads,
@@ -371,6 +373,7 @@ int CmdEstimate(const std::string& path, int argc, char** argv) {
           report.acceptance_rate,
           static_cast<unsigned long long>(report.sp_passes),
           report.cache_hit ? "true" : "false",
+          static_cast<unsigned long long>(report.screened_reads),
           report.converged ? "true" : "false", report.seconds);
     }
     std::printf("]\n");

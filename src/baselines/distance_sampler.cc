@@ -13,8 +13,9 @@ DistanceProportionalSampler::DistanceProportionalSampler(
 void DistanceProportionalSampler::PrepareTarget(VertexId r) {
   if (prepared_target_ == r) return;
   const VertexId n = graph_->num_vertices();
-  // The distance table costs one real, counted oracle pass from r.
-  const ShortestPathDag& dag = oracle_->RunPass(r);
+  // The distance table costs one real, counted oracle pass from r; it
+  // reads distances only.
+  const ShortestPathDag& dag = oracle_->RunDistancePass(r);
   std::vector<double> weights(n, 0.0);
   for (VertexId v = 0; v < n; ++v) {
     if (v == r) continue;

@@ -334,6 +334,10 @@ std::uint64_t BetweennessEngine::dependency_cache_hits() const {
   return oracle_ ? oracle_->cache_hits() : 0;
 }
 
+std::uint64_t BetweennessEngine::screened_reads() const {
+  return oracle_ ? oracle_->screened_reads() : 0;
+}
+
 // ------------------------------------------------------------ validation
 
 Status BetweennessEngine::ValidateRequest(
@@ -564,8 +568,10 @@ StatusOr<EstimateReport> BetweennessEngine::EstimateTarget(
   if (!status.ok()) return status;
   // A call that reads one target from a memo too small to hold a pass
   // from every source runs target-scoped passes: most of its whole
-  // vectors would be evicted unread. Multi-target calls keep full passes,
-  // which serve every target. Values are bit-identical either way.
+  // vectors would be evicted unread. With a nonzero memo on an undirected
+  // graph it also answers zero dependencies from the target's zero screen
+  // (DependencyOracle). Multi-target calls keep full passes, which serve
+  // every target. Values are bit-identical either way.
   const bool scoped = one_target_call && DependencyCacheEntries(*graph_) <
                                              graph_->num_vertices();
 
@@ -574,6 +580,7 @@ StatusOr<EstimateReport> BetweennessEngine::EstimateTarget(
   report.kind = request.kind;
   const std::uint64_t passes_before = total_sp_passes();
   const std::uint64_t hits_before = dependency_cache_hits();
+  const std::uint64_t screened_before = screened_reads();
   WallTimer timer;
 
   if (request.kind == EstimatorKind::kExact) {
@@ -603,6 +610,7 @@ StatusOr<EstimateReport> BetweennessEngine::EstimateTarget(
   report.sp_passes = total_sp_passes() - passes_before;
   report.cache_hit =
       report.cache_hit || dependency_cache_hits() > hits_before;
+  report.screened_reads = screened_reads() - screened_before;
   report.ci_half_width = request.z * report.std_error;
   return report;
 }

@@ -69,8 +69,9 @@
 /// *statistical* report fields — value, samples_used, acceptance_rate,
 /// ess, std_error, ci_half_width, converged — are bit-identical at every
 /// num_threads setting. Work accounting (sp_passes attribution, cache_hit,
-/// seconds) is excluded from that guarantee, as are kDeadline budgets
-/// (wall-clock stop rules are nondeterministic even sequentially).
+/// screened_reads, seconds) is excluded from that guarantee, as are
+/// kDeadline budgets (wall-clock stop rules are nondeterministic even
+/// sequentially).
 /// Chain-driven calls (EstimateRelative / RankTargets) stay sequential by
 /// design: a Markov chain is one serial dependency, and splitting it would
 /// change the estimator.
@@ -175,6 +176,9 @@ struct EstimateReport : BetweennessEstimate {
   /// True when engine caches did part of the work: dependency-memo hits,
   /// or a whole-result serve (exact scores, RK credit vector).
   bool cache_hit = false;
+  /// Dependency reads a zero screen answered without a pass (work
+  /// accounting, like sp_passes; see EngineOptions::dependency_cache_bytes).
+  std::uint64_t screened_reads = 0;
   /// kStandardError: whether the target was met before max_samples.
   /// Other budgets: always true.
   bool converged = true;
@@ -197,8 +201,12 @@ struct EngineOptions {
   /// the DAG below the target, and the memo keeps its answer as a scalar
   /// (source, target, delta) entry instead of whole vectors, so such
   /// entries cost no vector memory. Multi-target calls, exact builds and
-  /// capacity-n engines run full passes. Only work accounting
-  /// (sp_passes, cache_hit) depends on this; reports are bit-identical.
+  /// capacity-n engines run full passes. A nonzero capacity below n also
+  /// enables zero screens on undirected unweighted graphs: once a target
+  /// has paid deg(r) + 1 scoped misses, the memo keeps the set of sources
+  /// whose dependency on it is zero, and those reads cost no pass (see
+  /// DependencyOracle). Only work accounting (sp_passes, cache_hit,
+  /// screened_reads) depends on this; reports are bit-identical.
   std::size_t dependency_cache_bytes = std::size_t{256} << 20;  // 256 MiB
   /// Worker threads for the engine's two parallel builds: the exact
   /// Brandes scores and the RK credit batches. 0 = one per hardware
@@ -336,6 +344,10 @@ class BetweennessEngine {
 
   /// Dependencies served from the shared memo instead of a pass.
   std::uint64_t dependency_cache_hits() const;
+
+  /// Dependencies a zero screen answered as zero without a pass (not
+  /// counted in dependency_cache_hits()).
+  std::uint64_t screened_reads() const;
 
  private:
   struct RkCredit;     // cached all-vertices RK credit vector

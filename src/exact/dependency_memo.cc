@@ -23,7 +23,11 @@ std::vector<T> Extended(const std::vector<T>& values, std::size_t n, T fill) {
 void DependencyMemo::set_capacity(std::size_t max_entries) {
   std::lock_guard<std::mutex> lock(mu_);
   capacity_ = max_entries;
-  if (capacity_ == 0) entries_.clear();
+  if (capacity_ == 0) {
+    entries_.clear();
+    screens_.clear();
+    scoped_misses_.clear();
+  }
 }
 
 std::size_t DependencyMemo::capacity() const {
@@ -54,6 +58,36 @@ void DependencyMemo::Insert(std::uint64_t epoch, VertexId source,
   entries_.emplace(source, std::move(entry));
 }
 
+DependencyMemo::ScreenPtr DependencyMemo::FindScreen(std::uint64_t epoch,
+                                                     VertexId target) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (epoch != epoch_) return nullptr;
+  const auto it = screens_.find(target);
+  return it == screens_.end() ? nullptr : it->second;
+}
+
+void DependencyMemo::InsertScreen(std::uint64_t epoch, VertexId target,
+                                  ScreenPtr screen) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (capacity_ == 0 || epoch != epoch_ || screens_.count(target) != 0) {
+    return;
+  }
+  if (screens_.size() >= capacity_) screens_.clear();
+  screens_.emplace(target, std::move(screen));
+}
+
+std::uint64_t DependencyMemo::CountScopedMiss(std::uint64_t epoch,
+                                              VertexId target) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (capacity_ == 0 || epoch != epoch_) return 0;
+  auto it = scoped_misses_.find(target);
+  if (it == scoped_misses_.end()) {
+    if (scoped_misses_.size() >= capacity_) scoped_misses_.clear();
+    it = scoped_misses_.emplace(target, 0).first;
+  }
+  return it->second++;
+}
+
 void DependencyMemo::Advance(
     std::uint64_t from_epoch, VertexId num_vertices,
     const std::function<bool(const Entry&)>& survives) {
@@ -79,6 +113,8 @@ void DependencyMemo::Advance(
     }
     ++it;
   }
+  screens_.clear();
+  scoped_misses_.clear();
   epoch_ = from_epoch + 1;
 }
 
@@ -87,12 +123,19 @@ void DependencyMemo::Sync(std::uint64_t epoch) {
   if (epoch_ >= epoch) return;
   invalidated_entries_ += entries_.size();
   entries_.clear();
+  screens_.clear();
+  scoped_misses_.clear();
   epoch_ = epoch;
 }
 
 std::size_t DependencyMemo::size() const {
   std::lock_guard<std::mutex> lock(mu_);
   return entries_.size();
+}
+
+std::size_t DependencyMemo::screens() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return screens_.size();
 }
 
 std::uint64_t DependencyMemo::invalidated_entries() const {

@@ -31,6 +31,15 @@ namespace mhbc {
 /// inserts wins, and the eviction order under concurrency, change only
 /// work accounting, never a served value.
 ///
+/// Zero screens. Beside the entries the memo keeps, per target r, an n-bit
+/// set of the sources whose dependency on r is exactly zero (built and
+/// read by DependencyOracle's single-target reads), and the count of
+/// target-scoped misses each target has paid, which decides when a
+/// screen is worth building. Screens and counts are bounded at the entry
+/// capacity, each map bulk-cleared when an insert of a new key finds it
+/// full; a screen is n bits, under 1/96 of a whole entry. Advance and
+/// Sync drop both, because an edit moves distances.
+///
 /// Epochs. The memo records the epoch its entries belong to. Find and
 /// Insert name the caller's epoch and miss (or drop the insert) on a
 /// mismatch, so an entry is never served to a graph it was not computed
@@ -61,6 +70,15 @@ class DependencyMemo {
   };
   using EntryPtr = std::shared_ptr<const Entry>;
 
+  /// The sources v with delta_{v.}(target) == 0 for one target, one bit
+  /// per vertex.
+  struct ZeroScreen {
+    std::vector<std::uint64_t> bits;
+
+    bool Contains(VertexId v) const { return (bits[v >> 6] >> (v & 63)) & 1; }
+  };
+  using ScreenPtr = std::shared_ptr<const ZeroScreen>;
+
   /// Caching stays off until set_capacity(> 0).
   DependencyMemo() = default;
 
@@ -81,11 +99,24 @@ class DependencyMemo {
   /// insert stored it first). Any entry replaces a scalar one.
   void Insert(std::uint64_t epoch, VertexId source, EntryPtr entry);
 
+  /// The zero screen of `target` at graph epoch `epoch`, or null.
+  ScreenPtr FindScreen(std::uint64_t epoch, VertexId target) const;
+
+  /// Stores `screen` for `target` unless caching is off, `epoch` is not
+  /// the memo's epoch, or the target already has one.
+  void InsertScreen(std::uint64_t epoch, VertexId target, ScreenPtr screen);
+
+  /// Records one target-scoped miss on `target` and returns the misses
+  /// recorded on it before this one (0, recording nothing, when caching
+  /// is off or `epoch` is not the memo's epoch).
+  std::uint64_t CountScopedMiss(std::uint64_t epoch, VertexId target);
+
   /// Moves the memo from `from_epoch` to from_epoch + 1 after an edit
-  /// batch: scalar entries and entries failing `survives` are dropped (a
-  /// scalar keeps no distances to test), survivors are extended
-  /// to `num_vertices` with the values a fresh pass on the post-edit graph
-  /// would store (0 dependency, unreached distance). A no-op unless the
+  /// batch: screens, miss counts, scalar entries and entries failing
+  /// `survives` are dropped (a scalar keeps no distances to test),
+  /// survivors are extended to `num_vertices` with the values a fresh
+  /// pass on the post-edit graph would store (0 dependency, unreached
+  /// distance). A no-op unless the
   /// memo is at `from_epoch`: a sibling oracle already advanced it.
   void Advance(std::uint64_t from_epoch, VertexId num_vertices,
                const std::function<bool(const Entry&)>& survives);
@@ -93,15 +124,18 @@ class DependencyMemo {
   /// Aligns the memo to a newly created oracle's epoch: an oracle created
   /// after a mutation starts at that epoch, and a memo still behind it
   /// holds entries of an older graph that no live oracle invalidated. It
-  /// is cleared and moved forward, so its inserts and the next Advance
-  /// are not skipped.
+  /// is cleared (screens and miss counts too) and moved forward, so its
+  /// inserts and the next Advance are not skipped.
   void Sync(std::uint64_t epoch);
 
-  /// Vectors currently held.
+  /// Entries (whole or scalar) currently held; screens are not entries.
   std::size_t size() const;
 
+  /// Zero screens currently held.
+  std::size_t screens() const;
+
   /// Cumulative entries dropped by Advance and Sync (the selectivity
-  /// readout).
+  /// readout; dropped screens are not counted).
   std::uint64_t invalidated_entries() const;
 
   /// The graph epoch the held entries belong to.
@@ -113,6 +147,8 @@ class DependencyMemo {
   std::uint64_t epoch_ = 0;
   std::uint64_t invalidated_entries_ = 0;
   std::unordered_map<VertexId, EntryPtr> entries_;
+  std::unordered_map<VertexId, ScreenPtr> screens_;
+  std::unordered_map<VertexId, std::uint64_t> scoped_misses_;
 };
 
 }  // namespace mhbc

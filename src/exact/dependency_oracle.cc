@@ -198,6 +198,36 @@ const ShortestPathDag& DependencyOracle::RunPass(VertexId source) {
   return bfs_->dag();
 }
 
+const ShortestPathDag& DependencyOracle::RunDistancePass(VertexId source) {
+  MHBC_DCHECK(source < graph_->num_vertices());
+  if (delta_) return RunPass(source);
+  ++num_passes_;
+  bfs_->RunDistances(source);
+  return bfs_->dag();
+}
+
+DependencyMemo::ScreenPtr DependencyOracle::BuildScreen(VertexId target) {
+  const VertexId n = graph_->num_vertices();
+  auto screen = std::make_shared<DependencyMemo::ZeroScreen>();
+  screen->bits.assign((static_cast<std::size_t>(n) + 63) / 64,
+                      ~std::uint64_t{0});
+  screen_build_passes_ += graph_->degree(target) + 1;
+  const std::vector<std::uint32_t> from_target =
+      RunDistancePass(target).dist;
+  for (VertexId w : graph_->neighbors(target)) {
+    const ShortestPathDag& dag = RunDistancePass(w);
+    for (VertexId v : dag.order) {
+      // w is a child of target in v's DAG: v depends on target.
+      const std::uint32_t d = from_target[v];
+      if (d != kUnreachedDistance && dag.dist[v] == d + 1) {
+        screen->bits[v >> 6] &= ~(std::uint64_t{1} << (v & 63));
+      }
+    }
+  }
+  screen->bits[target >> 6] |= std::uint64_t{1} << (target & 63);
+  return screen;
+}
+
 const std::vector<double>& DependencyOracle::Dependencies(VertexId source) {
   MHBC_DCHECK(source < graph_->num_vertices());
   if (memo_) {
@@ -229,11 +259,33 @@ const std::vector<double>& DependencyOracle::Dependencies(VertexId source) {
 double DependencyOracle::Dependency(VertexId source, VertexId target) {
   MHBC_DCHECK(target < graph_->num_vertices());
   if (!scoped_reads_ || !bfs_) return Dependencies(source)[target];
+  // Zero screens are cross-query reuse: undirected graphs with a memo.
+  const bool screens = memo_ && !graph_->directed();
+  DependencyMemo::ScreenPtr screen;
+  if (screens) {
+    screen = memo_->FindScreen(graph_epoch_, target);
+    if (screen && screen->Contains(source)) {
+      ++screened_reads_;
+      return 0.0;
+    }
+  }
   if (memo_) {
     const DependencyMemo::EntryPtr hit = memo_->Find(graph_epoch_, source);
     if (hit && hit->Serves(target)) {
       ++cache_hits_;
       return hit->Dependency(target);
+    }
+  }
+  // Ski rental: the screen costs deg(target) + 1 passes, so build it once
+  // the target has paid that many misses.
+  if (screens && !screen &&
+      memo_->CountScopedMiss(graph_epoch_, target) >
+          graph_->degree(target)) {
+    screen = BuildScreen(target);
+    memo_->InsertScreen(graph_epoch_, target, screen);
+    if (screen->Contains(source)) {
+      ++screened_reads_;
+      return 0.0;
     }
   }
   ++num_passes_;

@@ -50,6 +50,25 @@ namespace mhbc {
 /// is bit-identical to a full pass'. Dependencies() and weighted passes
 /// always run in full, and a full pass replaces a scalar entry.
 ///
+/// Zero screens. On an undirected graph with a memo, scoped reads of a
+/// target r that keeps missing also build r's zero screen Z_r: the set
+/// of sources v with delta_{v.}(r) == 0. A read of v in Z_r returns +0.0
+/// with no pass, no sweep and no memo entry. The set is exact: r's
+/// children in v's DAG are the neighbors w with d(v,w) = d(v,r) + 1, and
+/// delta_{v.}(r) sums a strictly positive term over them, so it is zero
+/// iff r has no child — and then the sweep never writes r's slot, which
+/// keeps its +0.0 reset value. The source itself (whose slot the sweep
+/// zeroes) and unreachable sources have no child either. Distances are
+/// symmetric, so one distance-only pass from r and one from each
+/// neighbor settle every v: v is outside Z_r iff d(w,v) = d(r,v) + 1 for
+/// some neighbor w at a finite d(r,v); r itself is in Z_r. The build
+/// costs deg(r) + 1 counted passes, so it runs ski-rental style, once r
+/// has paid deg(r) + 1 scoped misses (counted in the memo, shared by its
+/// oracles): a target that never benefits pays at most twice its
+/// unscreened passes. Screens live in the memo beside the entries, and an
+/// edit drops them with the epoch. Directed and weighted graphs, and
+/// oracles without a memo (or with caching off), build none.
+///
 /// Graph mutation. The oracle supports epoch-tagged rebinding for the
 /// dynamic-graph path (BetweennessEngine::ApplyDelta): ApplyGraphDelta
 /// points the oracle at the post-edit graph and drops *only* the memoized
@@ -99,9 +118,15 @@ class DependencyOracle {
   /// tables) rather than a dependency vector.
   const ShortestPathDag& RunPass(VertexId source);
 
-  /// Returns delta_{source.}(target): a memo hit (a whole entry, or a
-  /// scalar entry for `target`) or one pass from `source` — target-scoped
-  /// under set_scoped_reads on an unweighted graph, full otherwise.
+  /// Runs one counted pass from `source` for a caller that reads only its
+  /// distances (and sigma/order): a distance-only BFS pass, which records
+  /// no predecessor, on unweighted graphs, and RunPass on weighted ones.
+  const ShortestPathDag& RunDistancePass(VertexId source);
+
+  /// Returns delta_{source.}(target): a zero-screen answer (scoped reads
+  /// only, see the class comment), a memo hit (a whole entry, or a scalar
+  /// entry for `target`) or one pass from `source` — target-scoped under
+  /// set_scoped_reads on an unweighted graph, full otherwise.
   double Dependency(VertexId source, VertexId target);
 
   /// Runs one pass from `source` (or serves the memoized vector) and
@@ -146,6 +171,14 @@ class DependencyOracle {
   /// Number of Dependencies() calls served from the memo without a pass.
   std::uint64_t cache_hits() const { return cache_hits_; }
 
+  /// Number of Dependency() reads a zero screen answered without a pass
+  /// (not counted in cache_hits()).
+  std::uint64_t screened_reads() const { return screened_reads_; }
+
+  /// Distance-only passes run to build zero screens (counted in
+  /// num_passes() too).
+  std::uint64_t screen_build_passes() const { return screen_build_passes_; }
+
   /// The graph epoch: the construction epoch plus ApplyGraphDelta rebinds.
   std::uint64_t graph_epoch() const { return graph_epoch_; }
 
@@ -166,6 +199,10 @@ class DependencyOracle {
   /// unweighted), dropping the previous one.
   void BindKernel(const CsrGraph& graph);
 
+  /// Builds the zero screen of `target` from deg(target) + 1 counted
+  /// distance-only passes (see the class comment).
+  DependencyMemo::ScreenPtr BuildScreen(VertexId target);
+
   const CsrGraph* graph_;
   SpdOptions spd_;
   std::unique_ptr<BfsSpd> bfs_;
@@ -173,6 +210,8 @@ class DependencyOracle {
   DependencyAccumulator accumulator_;
   std::uint64_t num_passes_ = 0;
   std::uint64_t cache_hits_ = 0;
+  std::uint64_t screened_reads_ = 0;
+  std::uint64_t screen_build_passes_ = 0;
   std::uint64_t graph_epoch_ = 0;
   bool scoped_reads_ = false;
   /// Null until set_cache_capacity(> 0) unless one was passed in.

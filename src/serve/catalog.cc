@@ -75,7 +75,8 @@ void GraphEntry::ReturnSession(BetweennessEngine* engine) {
   // The returning lease still owns the engine: its counters are read
   // before it is back in the pool, where another reader may take it.
   const SessionCounters counters{engine->total_sp_passes(),
-                                 engine->dependency_cache_hits()};
+                                 engine->dependency_cache_hits(),
+                                 engine->screened_reads()};
   {
     std::lock_guard<std::mutex> lock(mu_);
     const auto it = std::find_if(
@@ -156,6 +157,7 @@ GraphEntryStats GraphEntry::StatsLocked() const {
   for (const SessionCounters& counters : counters_) {
     stats.sp_passes += counters.sp_passes;
     stats.cache_hits += counters.cache_hits;
+    stats.screened_reads += counters.screened_reads;
   }
   return stats;
 }

@@ -96,11 +96,13 @@ struct GraphEntryStats {
   std::size_t memo_entries = 0;
   /// Memo entries dropped by mutations, each counted once.
   std::uint64_t memo_invalidated = 0;
-  /// Shortest-path passes and memo hits summed over the sessions, as of
+  /// Shortest-path passes, memo hits and zero-screen reads (answered
+  /// without a pass, see DependencyOracle) summed over the sessions, as of
   /// each session's last return to the pool (a leased session's current
   /// request is not counted yet).
   std::uint64_t sp_passes = 0;
   std::uint64_t cache_hits = 0;
+  std::uint64_t screened_reads = 0;
 };
 
 /// One named graph: the owned base CSR plus its session pool, their
@@ -144,6 +146,7 @@ class GraphEntry {
   struct SessionCounters {
     std::uint64_t sp_passes = 0;
     std::uint64_t cache_hits = 0;
+    std::uint64_t screened_reads = 0;
   };
 
   const std::string name_;

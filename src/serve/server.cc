@@ -377,6 +377,7 @@ std::string Server::ExecuteStats(const ServeRequest& request) {
            << ", \"directed\": " << (g.directed ? "true" : "false")
            << ", \"memo_entries\": " << g.memo_entries
            << ", \"memo_invalidated\": " << g.memo_invalidated
+           << ", \"screened_reads\": " << g.screened_reads
            << ", \"sp_passes\": " << g.sp_passes
            << ", \"cache_hits\": " << g.cache_hits << "}";
   }

@@ -26,8 +26,21 @@ BfsSpd::BfsSpd(const CsrGraph& graph, SpdOptions options)
 BfsSpd::~BfsSpd() = default;
 
 void BfsSpd::Run(VertexId source, VertexId scope) {
-  MHBC_DCHECK(source < graph_->num_vertices());
   MHBC_DCHECK(scope == kInvalidVertex || scope < graph_->num_vertices());
+  if (scope == kInvalidVertex) {
+    RunMode<Mode::kFull>(source, scope);
+  } else {
+    RunMode<Mode::kScoped>(source, scope);
+  }
+}
+
+void BfsSpd::RunDistances(VertexId source) {
+  RunMode<Mode::kDistances>(source, kInvalidVertex);
+}
+
+template <BfsSpd::Mode kMode>
+void BfsSpd::RunMode(VertexId source, VertexId scope) {
+  MHBC_DCHECK(source < graph_->num_vertices());
   const VertexId n = graph_->num_vertices();
   if (visited_.empty()) {
     // First pass: size the visited bitmap and the predecessor storage.
@@ -53,11 +66,7 @@ void BfsSpd::Run(VertexId source, VertexId scope) {
   dag_.source = source;
   scope_ = scope;
   last_stats_ = Stats();
-  if (scope == kInvalidVertex) {
-    Traverse<false>(source);
-  } else {
-    Traverse<true>(source);
-  }
+  Traverse<kMode>(source);
   total_stats_.edges_examined += last_stats_.edges_examined;
   total_stats_.top_down_levels += last_stats_.top_down_levels;
   total_stats_.bottom_up_levels += last_stats_.bottom_up_levels;
@@ -65,7 +74,7 @@ void BfsSpd::Run(VertexId source, VertexId scope) {
   total_stats_.pred_edges_recorded += last_stats_.pred_edges_recorded;
 }
 
-template <bool kScoped>
+template <BfsSpd::Mode kMode>
 void BfsSpd::Traverse(VertexId source) {
   const VertexId n = graph_->num_vertices();
   // Bits past n in the last bitmap word never correspond to vertices; mask
@@ -129,7 +138,7 @@ void BfsSpd::Traverse(VertexId source) {
       ++last_stats_.bottom_up_levels;
       last_stats_.edges_examined += unexplored_edges;
       if (UseParallel(unexplored_edges)) {
-        sums = BottomUpLevelParallel<kScoped>(depth, tail_mask);
+        sums = BottomUpLevelParallel<kMode>(depth, tail_mask);
       } else {
         // Scan unvisited vertices in ascending id (so the next level needs
         // no sort) and gather all in-edge parents at the current depth; no
@@ -149,7 +158,7 @@ void BfsSpd::Traverse(VertexId source) {
               if (dag_.dist[u] == depth) {
                 sv += dag_.sigma[u];
                 reached = true;
-                if (Records<kScoped>(u)) {
+                if (Records<kMode>(u)) {
                   dag_.pred_storage[base + parents++] = u;
                 }
               }
@@ -171,13 +180,13 @@ void BfsSpd::Traverse(VertexId source) {
       ++last_stats_.top_down_levels;
       last_stats_.edges_examined += frontier_edges;
       if (UseParallel(frontier_edges)) {
-        sums = TopDownLevelParallel<kScoped>(depth);
+        sums = TopDownLevelParallel<kMode>(depth);
       } else {
         std::size_t lo_word = frontier_bits_.size();
         std::size_t hi_word = 0;
         for (VertexId u : frontier_) {
           const SigmaCount su = dag_.sigma[u];
-          const bool records = Records<kScoped>(u);
+          const bool records = Records<kMode>(u);
           for (VertexId v : graph_->neighbors(u)) {
             if (dag_.dist[v] == kUnreachedDistance) {
               dag_.dist[v] = depth + 1;
@@ -255,7 +264,7 @@ void BfsSpd::EmitAscending(std::vector<VertexId>* level, std::size_t lo_word,
   }
 }
 
-template <bool kScoped>
+template <BfsSpd::Mode kMode>
 BfsSpd::LevelSums BfsSpd::TopDownLevelParallel(std::uint32_t depth) {
   EnsureParallelScratch();
   // Phase 1 — fan out over fixed frontier shards: each shard examines its
@@ -314,7 +323,7 @@ BfsSpd::LevelSums BfsSpd::TopDownLevelParallel(std::uint32_t depth) {
               seg_sums.in_edges += graph_->in_degree(c.v);
             }
             dag_.sigma[c.v] += dag_.sigma[c.u];
-            if (Records<kScoped>(c.u)) {
+            if (Records<kMode>(c.u)) {
               dag_.pred_storage[dag_.pred_begin[c.v] +
                                 dag_.pred_count[c.v]++] = c.u;
               ++seg_sums.recorded;
@@ -336,7 +345,7 @@ BfsSpd::LevelSums BfsSpd::TopDownLevelParallel(std::uint32_t depth) {
   return sums;
 }
 
-template <bool kScoped>
+template <BfsSpd::Mode kMode>
 BfsSpd::LevelSums BfsSpd::BottomUpLevelParallel(std::uint32_t depth,
                                                 std::uint64_t tail_mask) {
   EnsureParallelScratch();
@@ -379,7 +388,7 @@ BfsSpd::LevelSums BfsSpd::BottomUpLevelParallel(std::uint32_t depth,
               if ((frontier_bits_[u >> 6] >> (u & 63)) & 1) {
                 sv += dag_.sigma[u];
                 reached = true;
-                if (Records<kScoped>(u)) {
+                if (Records<kMode>(u)) {
                   dag_.pred_storage[base + parents++] = u;
                 }
               }

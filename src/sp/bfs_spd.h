@@ -75,6 +75,12 @@
 /// memory location. The level loops are instantiated per mode, so a full
 /// pass runs no mark test.
 ///
+/// Distance-only passes (RunDistances) serve callers that read dist alone
+/// (distance tables, zero-dependency screens): a third instantiation of
+/// the level loop records no DAG edge at all, so every pred_count stays
+/// zero, while dist, sigma, order and level_offsets come out exactly as a
+/// full pass' do.
+///
 /// Directed graphs: top-down expansion walks out-edges and every parent
 /// scan — the bottom-up step and recorded predecessor lists — walks
 /// in-edges (CsrGraph::in_neighbors, the transpose view), which on
@@ -108,7 +114,8 @@ class BfsSpd {
     std::uint32_t bottom_up_levels = 0;
     std::uint32_t direction_switches = 0;
     /// Predecessor entries stored: every SPD edge on a full pass, the
-    /// edges among the scope vertex and its descendants on a scoped one.
+    /// edges among the scope vertex and its descendants on a scoped one,
+    /// none on a distance-only one.
     std::uint64_t pred_edges_recorded = 0;
   };
 
@@ -140,6 +147,10 @@ class BfsSpd {
   /// the backward sweep to produce delta_source(r) bit-identically, and
   /// nothing else of the dependency vector.
   void Run(VertexId source, VertexId scope = kInvalidVertex);
+
+  /// Computes dist/sigma/order and level offsets from `source` exactly as
+  /// Run does, but records no predecessor (every pred_count is zero).
+  void RunDistances(VertexId source);
 
   /// Result of the last Run. Valid until the next Run.
   const ShortestPathDag& dag() const { return dag_; }
@@ -177,15 +188,29 @@ class BfsSpd {
     }
   };
 
-  /// The level loop of Run, instantiated for full and scoped passes.
-  template <bool kScoped>
+  /// Which DAG edges a pass records: all of them, those below the scope
+  /// vertex, or none.
+  enum class Mode { kFull, kScoped, kDistances };
+
+  /// The body of Run and RunDistances: resets what the previous pass
+  /// touched and runs the level loop for `kMode`.
+  template <Mode kMode>
+  void RunMode(VertexId source, VertexId scope);
+  /// The level loop, instantiated per mode.
+  template <Mode kMode>
   void Traverse(VertexId source);
   /// True when a DAG edge out of `u` is recorded: always on a full pass,
-  /// on a scoped one only when u is marked (the scope vertex, or a vertex
-  /// that recorded a parent).
-  template <bool kScoped>
+  /// never on a distance-only one, and on a scoped one only when u is
+  /// marked (the scope vertex, or a vertex that recorded a parent).
+  template <Mode kMode>
   bool Records(VertexId u) const {
-    return !kScoped || u == scope_ || dag_.pred_count[u] != 0;
+    if constexpr (kMode == Mode::kFull) {
+      return true;
+    } else if constexpr (kMode == Mode::kDistances) {
+      return false;
+    } else {
+      return u == scope_ || dag_.pred_count[u] != 0;
+    }
   }
 
   /// Lazily sizes the destination ranges + per-shard buckets (a pure
@@ -193,10 +218,10 @@ class BfsSpd {
   void EnsureParallelScratch();
   /// Frontier-parallel top-down level step: settles depth+1 and fills
   /// next_ (sorted).
-  template <bool kScoped>
+  template <Mode kMode>
   LevelSums TopDownLevelParallel(std::uint32_t depth);
   /// Word-range-parallel bottom-up level step; same outputs as above.
-  template <bool kScoped>
+  template <Mode kMode>
   LevelSums BottomUpLevelParallel(std::uint32_t depth,
                                   std::uint64_t tail_mask);
 

@@ -399,6 +399,7 @@ TEST(ServeConcurrencyTest, ConcurrentMutatesEachReportTheirOwnEpoch) {
 struct MemoCounters {
   std::uint64_t memo_entries = 0;
   std::uint64_t memo_invalidated = 0;
+  std::uint64_t screened_reads = 0;
   std::uint64_t sp_passes = 0;
   std::uint64_t cache_hits = 0;
 };
@@ -421,6 +422,7 @@ MemoCounters ReadMemoCounters(Server& server) {
   };
   read("memo_entries", &counters.memo_entries);
   read("memo_invalidated", &counters.memo_invalidated);
+  read("screened_reads", &counters.screened_reads);
   read("sp_passes", &counters.sp_passes);
   read("cache_hits", &counters.cache_hits);
   return counters;
@@ -447,6 +449,7 @@ TEST(ServeConcurrencyTest, StatsMemoCountersReconcileWithRequestsIssued) {
     const MemoCounters got = ReadMemoCounters(server);
     EXPECT_EQ(got.sp_passes, reference.total_sp_passes()) << after;
     EXPECT_EQ(got.cache_hits, reference.dependency_cache_hits()) << after;
+    EXPECT_EQ(got.screened_reads, reference.screened_reads()) << after;
     EXPECT_EQ(got.memo_entries, reference_memo->size()) << after;
     EXPECT_EQ(got.memo_invalidated, reference_memo->invalidated_entries())
         << after;
@@ -488,6 +491,73 @@ TEST(ServeConcurrencyTest, StatsMemoCountersReconcileWithRequestsIssued) {
   EXPECT_EQ(mutated.memo_invalidated,
             warm.memo_entries - mutated.memo_entries);
   estimate(5);
+  expect_reconciled("estimate after mutate");
+}
+
+TEST(ServeConcurrencyTest, StatsScreenedReadsReconcileOnASmallMemo) {
+  // A memo budget below one entry per source makes one-vertex estimates
+  // run scoped reads, and zero screens answer some of them without a
+  // pass. The sessions share the screens and the per-target miss counts
+  // through the memo, so requests issued one at a time still reconcile
+  // exactly with one engine on its own memo.
+  auto base = MakeDataset("caveman-36");
+  ASSERT_TRUE(base.ok());
+  EngineOptions options;
+  options.dependency_cache_bytes =
+      8 * base.value().num_vertices() * (sizeof(double) + sizeof(std::uint32_t));
+  GraphCatalog catalog;
+  ASSERT_TRUE(catalog
+                  .AddGraph("caveman-36", base.value(), options,
+                            /*sessions=*/2)
+                  .ok());
+  Server server(&catalog, ServerOptions());
+  auto reference_memo = std::make_shared<DependencyMemo>();
+  BetweennessEngine reference(base.value(), options, reference_memo);
+
+  const auto expect_reconciled = [&](const std::string& after) {
+    const MemoCounters got = ReadMemoCounters(server);
+    EXPECT_EQ(got.screened_reads, reference.screened_reads()) << after;
+    EXPECT_EQ(got.sp_passes, reference.total_sp_passes()) << after;
+    EXPECT_EQ(got.cache_hits, reference.dependency_cache_hits()) << after;
+    EXPECT_EQ(got.memo_entries, reference_memo->size()) << after;
+    EXPECT_EQ(got.memo_invalidated, reference_memo->invalidated_entries())
+        << after;
+  };
+  const auto estimate = [&](VertexId v, std::uint64_t seed) {
+    const std::string line = server.Call(
+        "{\"id\": " + std::to_string(seed) +
+        ", \"method\": \"estimate\", \"graph\": \"caveman-36\", "
+        "\"vertices\": [" +
+        std::to_string(v) + "], \"samples\": " + std::to_string(kSamples) +
+        ", \"seed\": " + std::to_string(seed) + "}");
+    auto response = ParseServeResponse(line);
+    ASSERT_TRUE(response.ok() && response.value().ok) << line;
+    EstimateRequest request;
+    request.samples = kSamples;
+    request.seed = seed;
+    ASSERT_TRUE(reference.EstimateMany({v}, request).ok());
+  };
+
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    for (const VertexId v : kTargets) {
+      estimate(v, seed);
+      expect_reconciled("estimate of " + std::to_string(v) + " seed " +
+                        std::to_string(seed));
+    }
+  }
+  EXPECT_GT(reference.screened_reads(), 0u);
+
+  const GraphDelta delta = MakeRandomEditScript(base.value(), 3, 0x5c4e);
+  const std::string line = server.Call(
+      "{\"id\": 1, \"method\": \"mutate\", \"graph\": \"caveman-36\", "
+      "\"edits\": \"" +
+      DeltaToText(delta) + "\"}");
+  auto response = ParseServeResponse(line);
+  ASSERT_TRUE(response.ok() && response.value().ok) << line;
+  ASSERT_TRUE(reference.ApplyDelta(delta).ok());
+  EXPECT_EQ(reference_memo->screens(), 0u);
+  expect_reconciled("mutate");
+  estimate(kTargets.front(), 7);
   expect_reconciled("estimate after mutate");
 }
 

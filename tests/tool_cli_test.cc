@@ -210,6 +210,17 @@ TEST_F(ToolCliTest, SpdThreadsFlagIsAcceptedAndReportedInJson) {
   EXPECT_FALSE(value_of(plain).empty());
 }
 
+TEST_F(ToolCliTest, JsonEstimateReportsScreenedReads) {
+  // The tool's default memo holds every source of a small graph, so no
+  // read is screened; the field is present with its count.
+  int exit_code = -1;
+  const std::string estimate = RunStdout(
+      "--json estimate " + ValidGraph() + " 0 mh 200 7", &exit_code);
+  EXPECT_EQ(exit_code, 0) << estimate;
+  EXPECT_NE(estimate.find("\"screened_reads\": 0"), std::string::npos)
+      << estimate;
+}
+
 TEST_F(ToolCliTest, MissingGraphFileFails) {
   ExpectFailure("stats " + Quote(Path("no-such-graph.txt")), "", kExitIo);
   ExpectFailure(Quote("--graph=" + Path("nope.mhbc")) + " stats", "",
