@@ -170,8 +170,7 @@ std::size_t BetweennessEngine::DependencyCacheEntries(
 
 DependencyOracle* BetweennessEngine::oracle() {
   if (!oracle_) {
-    oracle_ = std::make_unique<DependencyOracle>(*graph_, options_.spd,
-                                                 memo_, graph_epoch_);
+    oracle_ = std::make_unique<DependencyOracle>(*graph_, options_.spd, memo_);
     oracle_->set_cache_capacity(DependencyCacheEntries(*graph_));
   }
   return oracle_.get();
@@ -722,11 +721,16 @@ Status BetweennessEngine::ApplyDelta(const GraphDelta& delta) {
   }
   std::vector<GraphEdit> resolved;
   MHBC_RETURN_IF_ERROR(dynamic_->Apply(delta, &resolved));
+  Rebind(dynamic_->Csr(), resolved);
+  return Status::Ok();
+}
 
-  // Once the engine owns the graph, a successful Apply has already freed
-  // the pre-edit arrays: nothing below may read state bound to them until
-  // it is reset (the oracle's ApplyGraphDelta reads only the new graph
-  // and tables the oracle owns). Samplers rebuild lazily on next use.
+void BetweennessEngine::Rebind(const CsrGraph& edited,
+                               std::span<const GraphEdit> resolved) {
+  // The edit may already have freed the pre-edit arrays (always, once the
+  // graph is owned): nothing below may read state bound to them until it
+  // is reset (the oracle's ApplyGraphDelta reads only the new graph and
+  // tables the oracle owns). Samplers rebuild lazily on next use.
   // Whole-graph products (exact scores, RK credit vector, diameter
   // estimate, joint-space result) are aggregates over all vertex pairs,
   // which any edge edit — or, for a vertex append, the n-dependent
@@ -743,14 +747,12 @@ Status BetweennessEngine::ApplyDelta(const GraphDelta& delta) {
   rk_credit_.reset();
   joint_cache_.reset();
 
-  const CsrGraph& next = dynamic_->Csr();
   if (oracle_) {
-    oracle_->ApplyGraphDelta(next, resolved);
-    oracle_->set_cache_capacity(DependencyCacheEntries(next));
+    oracle_->ApplyGraphDelta(edited, resolved);
+    oracle_->set_cache_capacity(DependencyCacheEntries(edited));
   }
-  graph_ = &next;
+  graph_ = &edited;
   ++graph_epoch_;
-  return Status::Ok();
 }
 
 }  // namespace mhbc

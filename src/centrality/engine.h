@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -89,10 +90,11 @@
 /// engine still require external synchronization (queries mutate shared
 /// caches). For concurrent serving either put a mutex in front of one
 /// engine or give each server worker its own engine. Such engines share
-/// the graph and, when constructed with one, a DependencyMemo: the memo
-/// is the one piece of engine state that is safe to share, so a pass any
-/// session paid for serves every session (the serving catalog builds one
-/// per graph). Pass and hit counters stay per engine.
+/// one graph object and, when constructed with one, a DependencyMemo: the
+/// memo is the one piece of engine state that is safe to share, so a pass
+/// any session paid for serves every session (the serving catalog builds
+/// one graph and one memo per entry). Pass and hit counters stay per
+/// engine.
 ///
 /// Graph mutation. ApplyDelta(delta) edits the served graph in place
 /// (an internal DynamicGraph writes the post-edit CSR; see
@@ -105,11 +107,17 @@
 /// rebuilt on next use; the dependency memo survives *selectively* —
 /// only cached passes whose BFS trees an edit touches are dropped
 /// (DependencyOracle::ApplyGraphDelta), which is what makes a small edit
-/// batch cheaper to re-estimate than a cold rebuild. On a memo shared
-/// with other engines that invalidation runs once per delta, in whichever
-/// engine's oracle rebinds first. After the first
+/// batch cheaper to re-estimate than a cold rebuild. After the first
 /// ApplyDelta, graph() returns the engine-owned post-edit graph; the
 /// construction graph is no longer referenced.
+///
+/// Engines that share a graph object edit it once, outside any engine,
+/// and then call Rebind(edited, resolved) on each of them: the second
+/// half of ApplyDelta, with the same contract. Engines that share a memo
+/// must all rebind to a batch before any of them reads again; the first
+/// rebind invalidates the memo and the others find nothing left to drop
+/// (DependencyMemo). The serving catalog's GraphEntry::Mutate guarantees
+/// this for its sessions.
 
 namespace mhbc {
 
@@ -263,8 +271,8 @@ class BetweennessEngine {
   /// The graph must outlive the engine. Construction is O(1); all
   /// per-estimator state is built lazily on first use. A non-null `memo`
   /// is shared with every other engine given it: they must serve the same
-  /// graph and apply the same ApplyDelta sequence. Null gives the engine a
-  /// private memo.
+  /// graph and rebind to each edit batch before any of them reads again
+  /// (see the file comment). Null gives the engine a private memo.
   explicit BetweennessEngine(const CsrGraph& graph,
                              EngineOptions options = EngineOptions(),
                              std::shared_ptr<DependencyMemo> memo = nullptr);
@@ -327,10 +335,18 @@ class BetweennessEngine {
   /// graph is dropped or selectively invalidated (see the file comment's
   /// mutation contract), and subsequent queries serve the post-edit graph
   /// bit-identically to a cold engine built on it. An empty delta is a
-  /// no-op that keeps the epoch.
+  /// no-op that keeps the epoch. Not for an engine rebound through Rebind:
+  /// it would edit its own copy, not the shared graph.
   Status ApplyDelta(const GraphDelta& delta);
 
-  /// Number of successful non-empty ApplyDelta batches so far.
+  /// Rebinds the engine to `edited`, the graph after the non-empty
+  /// resolved batch `resolved` (DynamicGraph::Apply output) was applied to
+  /// graph(), which may be the same object, already rewritten. Drops or
+  /// selectively invalidates cached state exactly like ApplyDelta and
+  /// advances the epoch. `edited` must outlive the engine.
+  void Rebind(const CsrGraph& edited, std::span<const GraphEdit> resolved);
+
+  /// Number of successful non-empty ApplyDelta or Rebind batches so far.
   std::uint64_t graph_epoch() const { return graph_epoch_; }
 
   const CsrGraph& graph() const { return *graph_; }
@@ -410,7 +426,7 @@ class BetweennessEngine {
   EngineOptions options_;
 
   /// Mutation substrate, created by the first ApplyDelta; from then on
-  /// graph_ points at its CSR.
+  /// graph_ points at its CSR. Engines rebound through Rebind have none.
   std::unique_ptr<DynamicGraph> dynamic_;
   std::uint64_t graph_epoch_ = 0;
 

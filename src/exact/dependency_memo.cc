@@ -35,18 +35,15 @@ std::size_t DependencyMemo::capacity() const {
   return capacity_;
 }
 
-DependencyMemo::EntryPtr DependencyMemo::Find(std::uint64_t epoch,
-                                              VertexId source) const {
+DependencyMemo::EntryPtr DependencyMemo::Find(VertexId source) const {
   std::lock_guard<std::mutex> lock(mu_);
-  if (epoch != epoch_) return nullptr;
   const auto it = entries_.find(source);
   return it == entries_.end() ? nullptr : it->second;
 }
 
-void DependencyMemo::Insert(std::uint64_t epoch, VertexId source,
-                            EntryPtr entry) {
+void DependencyMemo::Insert(VertexId source, EntryPtr entry) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (capacity_ == 0 || epoch != epoch_) return;
+  if (capacity_ == 0) return;
   const auto it = entries_.find(source);
   if (it != entries_.end()) {
     if (it->second->scalar()) it->second = std::move(entry);
@@ -58,28 +55,22 @@ void DependencyMemo::Insert(std::uint64_t epoch, VertexId source,
   entries_.emplace(source, std::move(entry));
 }
 
-DependencyMemo::ScreenPtr DependencyMemo::FindScreen(std::uint64_t epoch,
-                                                     VertexId target) const {
+DependencyMemo::ScreenPtr DependencyMemo::FindScreen(VertexId target) const {
   std::lock_guard<std::mutex> lock(mu_);
-  if (epoch != epoch_) return nullptr;
   const auto it = screens_.find(target);
   return it == screens_.end() ? nullptr : it->second;
 }
 
-void DependencyMemo::InsertScreen(std::uint64_t epoch, VertexId target,
-                                  ScreenPtr screen) {
+void DependencyMemo::InsertScreen(VertexId target, ScreenPtr screen) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (capacity_ == 0 || epoch != epoch_ || screens_.count(target) != 0) {
-    return;
-  }
+  if (capacity_ == 0 || screens_.count(target) != 0) return;
   if (screens_.size() >= capacity_) screens_.clear();
   screens_.emplace(target, std::move(screen));
 }
 
-std::uint64_t DependencyMemo::CountScopedMiss(std::uint64_t epoch,
-                                              VertexId target) {
+std::uint64_t DependencyMemo::CountScopedMiss(VertexId target) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (capacity_ == 0 || epoch != epoch_) return 0;
+  if (capacity_ == 0) return 0;
   auto it = scoped_misses_.find(target);
   if (it == scoped_misses_.end()) {
     if (scoped_misses_.size() >= capacity_) scoped_misses_.clear();
@@ -89,10 +80,8 @@ std::uint64_t DependencyMemo::CountScopedMiss(std::uint64_t epoch,
 }
 
 void DependencyMemo::Advance(
-    std::uint64_t from_epoch, VertexId num_vertices,
-    const std::function<bool(const Entry&)>& survives) {
+    VertexId num_vertices, const std::function<bool(const Entry&)>& survives) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (epoch_ != from_epoch) return;  // a sibling oracle already advanced
   for (auto it = entries_.begin(); it != entries_.end();) {
     if (it->second->scalar() || !survives(*it->second)) {
       ++invalidated_entries_;
@@ -115,17 +104,6 @@ void DependencyMemo::Advance(
   }
   screens_.clear();
   scoped_misses_.clear();
-  epoch_ = from_epoch + 1;
-}
-
-void DependencyMemo::Sync(std::uint64_t epoch) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (epoch_ >= epoch) return;
-  invalidated_entries_ += entries_.size();
-  entries_.clear();
-  screens_.clear();
-  scoped_misses_.clear();
-  epoch_ = epoch;
 }
 
 std::size_t DependencyMemo::size() const {
@@ -141,11 +119,6 @@ std::size_t DependencyMemo::screens() const {
 std::uint64_t DependencyMemo::invalidated_entries() const {
   std::lock_guard<std::mutex> lock(mu_);
   return invalidated_entries_;
-}
-
-std::uint64_t DependencyMemo::epoch() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return epoch_;
 }
 
 }  // namespace mhbc

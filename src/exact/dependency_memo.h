@@ -17,10 +17,9 @@
 
 namespace mhbc {
 
-/// Dependency vectors keyed by source, tagged with the graph epoch they
-/// were computed on. An entry is either a whole pass (the vector plus the
-/// pass' distances) or a scoped read's scalar: delta_{source.}(target) for
-/// one target, with no vectors.
+/// Dependency vectors keyed by source. An entry is either a whole pass
+/// (the vector plus the pass' distances) or a scoped read's scalar:
+/// delta_{source.}(target) for one target, with no vectors.
 ///
 /// Entries are immutable and handed out as shared_ptr<const Entry>: a
 /// reader that holds one keeps it valid even after another oracle clears
@@ -37,17 +36,17 @@ namespace mhbc {
 /// target-scoped misses each target has paid, which decides when a
 /// screen is worth building. Screens and counts are bounded at the entry
 /// capacity, each map bulk-cleared when an insert of a new key finds it
-/// full; a screen is n bits, under 1/96 of a whole entry. Advance and
-/// Sync drop both, because an edit moves distances.
+/// full; a screen is n bits, under 1/96 of a whole entry. Advance drops
+/// both, because an edit moves distances.
 ///
-/// Epochs. The memo records the epoch its entries belong to. Find and
-/// Insert name the caller's epoch and miss (or drop the insert) on a
-/// mismatch, so an entry is never served to a graph it was not computed
-/// on. Advance moves the memo one epoch forward exactly once: the first
-/// oracle to rebind after an edit invalidates and extends the entries,
-/// later oracles at the same epoch find the work done. Oracles sharing a
-/// memo must therefore apply the same edit sequence (the serving catalog
-/// applies every delta to all of its sessions).
+/// Edits. The memo holds entries of one graph, the one its oracles are
+/// bound to. Oracles sharing a memo serve the same graph and rebind to
+/// every edit batch before any of them reads again (the serving
+/// catalog's GraphEntry::Mutate guarantees this for its sessions). Each
+/// rebinding oracle calls Advance with the same batch; the first call
+/// drops and extends the entries, and every later one finds nothing to
+/// drop or extend, because survivors pass the same test again and already
+/// have the new vertex count. So the memo needs no epoch.
 class DependencyMemo {
  public:
   /// One memoized pass: the dependency vector plus the pass' distances —
@@ -91,42 +90,35 @@ class DependencyMemo {
   void set_capacity(std::size_t max_entries);
   std::size_t capacity() const;
 
-  /// The entry for `source` at graph epoch `epoch`, or null.
-  EntryPtr Find(std::uint64_t epoch, VertexId source) const;
+  /// The entry for `source`, or null.
+  EntryPtr Find(VertexId source) const;
 
-  /// Stores `entry` for `source` unless caching is off, `epoch` is not the
-  /// memo's epoch, or the source already has a whole entry (a racing
-  /// insert stored it first). Any entry replaces a scalar one.
-  void Insert(std::uint64_t epoch, VertexId source, EntryPtr entry);
+  /// Stores `entry` for `source` unless caching is off or the source
+  /// already has a whole entry (a racing insert stored it first). Any
+  /// entry replaces a scalar one.
+  void Insert(VertexId source, EntryPtr entry);
 
-  /// The zero screen of `target` at graph epoch `epoch`, or null.
-  ScreenPtr FindScreen(std::uint64_t epoch, VertexId target) const;
+  /// The zero screen of `target`, or null.
+  ScreenPtr FindScreen(VertexId target) const;
 
-  /// Stores `screen` for `target` unless caching is off, `epoch` is not
-  /// the memo's epoch, or the target already has one.
-  void InsertScreen(std::uint64_t epoch, VertexId target, ScreenPtr screen);
+  /// Stores `screen` for `target` unless caching is off or the target
+  /// already has one.
+  void InsertScreen(VertexId target, ScreenPtr screen);
 
   /// Records one target-scoped miss on `target` and returns the misses
   /// recorded on it before this one (0, recording nothing, when caching
-  /// is off or `epoch` is not the memo's epoch).
-  std::uint64_t CountScopedMiss(std::uint64_t epoch, VertexId target);
+  /// is off).
+  std::uint64_t CountScopedMiss(VertexId target);
 
-  /// Moves the memo from `from_epoch` to from_epoch + 1 after an edit
-  /// batch: screens, miss counts, scalar entries and entries failing
-  /// `survives` are dropped (a scalar keeps no distances to test),
-  /// survivors are extended to `num_vertices` with the values a fresh
-  /// pass on the post-edit graph would store (0 dependency, unreached
-  /// distance). A no-op unless the
-  /// memo is at `from_epoch`: a sibling oracle already advanced it.
-  void Advance(std::uint64_t from_epoch, VertexId num_vertices,
+  /// Moves the memo across an edit batch: screens, miss counts, scalar
+  /// entries and entries failing `survives` are dropped (a scalar keeps
+  /// no distances to test), survivors are extended to `num_vertices`
+  /// with the values a fresh pass on the post-edit graph would store (0
+  /// dependency, unreached distance). Idempotent for a repeated batch
+  /// (see the class comment): a second call drops, extends and counts
+  /// nothing.
+  void Advance(VertexId num_vertices,
                const std::function<bool(const Entry&)>& survives);
-
-  /// Aligns the memo to a newly created oracle's epoch: an oracle created
-  /// after a mutation starts at that epoch, and a memo still behind it
-  /// holds entries of an older graph that no live oracle invalidated. It
-  /// is cleared (screens and miss counts too) and moved forward, so its
-  /// inserts and the next Advance are not skipped.
-  void Sync(std::uint64_t epoch);
 
   /// Entries (whole or scalar) currently held; screens are not entries.
   std::size_t size() const;
@@ -134,17 +126,13 @@ class DependencyMemo {
   /// Zero screens currently held.
   std::size_t screens() const;
 
-  /// Cumulative entries dropped by Advance and Sync (the selectivity
-  /// readout; dropped screens are not counted).
+  /// Cumulative entries dropped by Advance (the selectivity readout;
+  /// dropped screens are not counted).
   std::uint64_t invalidated_entries() const;
-
-  /// The graph epoch the held entries belong to.
-  std::uint64_t epoch() const;
 
  private:
   mutable std::mutex mu_;
   std::size_t capacity_ = 0;
-  std::uint64_t epoch_ = 0;
   std::uint64_t invalidated_entries_ = 0;
   std::unordered_map<VertexId, EntryPtr> entries_;
   std::unordered_map<VertexId, ScreenPtr> screens_;

@@ -130,15 +130,9 @@ bool WeightedPassSurvivesEdits(const std::vector<double>& wdists,
 }  // namespace
 
 DependencyOracle::DependencyOracle(const CsrGraph& graph, SpdOptions spd,
-                                   std::shared_ptr<DependencyMemo> memo,
-                                   std::uint64_t epoch)
-    : graph_(&graph),
-      spd_(spd),
-      accumulator_(graph),
-      graph_epoch_(epoch),
-      memo_(std::move(memo)) {
+                                   std::shared_ptr<DependencyMemo> memo)
+    : graph_(&graph), spd_(spd), accumulator_(graph), memo_(std::move(memo)) {
   BindKernel(graph);
-  if (memo_) memo_->Sync(graph_epoch_);
 }
 
 void DependencyOracle::BindKernel(const CsrGraph& graph) {
@@ -162,14 +156,14 @@ void DependencyOracle::set_cache_capacity(std::size_t max_entries) {
 void DependencyOracle::ApplyGraphDelta(const CsrGraph& new_graph,
                                        std::span<const GraphEdit> edits) {
   if (memo_) {
-    // A weightedness or directedness flip re-keys every distance; drop
-    // everything. The survival tests read the kernel still bound to the
-    // pre-edit graph.
-    const bool flip = graph_->weighted() != new_graph.weighted() ||
-                      graph_->directed() != new_graph.directed();
-    const bool weighted = graph_->weighted();
-    const bool directed = graph_->directed();
-    memo_->Advance(graph_epoch_, new_graph.num_vertices(),
+    // The pre-edit graph's kind comes from the kernel still bound to it:
+    // graph_ may be new_graph itself, already rewritten. A weightedness
+    // flip (emptying a weighted graph) re-keys every distance; drop
+    // everything. Edits never change directedness.
+    const bool weighted = delta_ != nullptr;
+    const bool flip = weighted != new_graph.weighted();
+    const bool directed = new_graph.directed();
+    memo_->Advance(new_graph.num_vertices(),
                    [&](const DependencyMemo::Entry& entry) {
                      if (edits.empty()) return true;
                      if (flip) return false;
@@ -180,7 +174,6 @@ void DependencyOracle::ApplyGraphDelta(const CsrGraph& new_graph,
                                                     directed);
                    });
   }
-  ++graph_epoch_;
   pinned_.reset();
   graph_ = &new_graph;
   accumulator_ = DependencyAccumulator(new_graph);
@@ -231,7 +224,7 @@ DependencyMemo::ScreenPtr DependencyOracle::BuildScreen(VertexId target) {
 const std::vector<double>& DependencyOracle::Dependencies(VertexId source) {
   MHBC_DCHECK(source < graph_->num_vertices());
   if (memo_) {
-    DependencyMemo::EntryPtr hit = memo_->Find(graph_epoch_, source);
+    DependencyMemo::EntryPtr hit = memo_->Find(source);
     if (hit && !hit->scalar()) {
       ++cache_hits_;
       pinned_ = std::move(hit);
@@ -251,7 +244,7 @@ const std::vector<double>& DependencyOracle::Dependencies(VertexId source) {
     } else {
       entry->hops = dag.dist;
     }
-    memo_->Insert(graph_epoch_, source, std::move(entry));
+    memo_->Insert(source, std::move(entry));
   }
   return deps;
 }
@@ -263,14 +256,14 @@ double DependencyOracle::Dependency(VertexId source, VertexId target) {
   const bool screens = memo_ && !graph_->directed();
   DependencyMemo::ScreenPtr screen;
   if (screens) {
-    screen = memo_->FindScreen(graph_epoch_, target);
+    screen = memo_->FindScreen(target);
     if (screen && screen->Contains(source)) {
       ++screened_reads_;
       return 0.0;
     }
   }
   if (memo_) {
-    const DependencyMemo::EntryPtr hit = memo_->Find(graph_epoch_, source);
+    const DependencyMemo::EntryPtr hit = memo_->Find(source);
     if (hit && hit->Serves(target)) {
       ++cache_hits_;
       return hit->Dependency(target);
@@ -279,10 +272,9 @@ double DependencyOracle::Dependency(VertexId source, VertexId target) {
   // Ski rental: the screen costs deg(target) + 1 passes, so build it once
   // the target has paid that many misses.
   if (screens && !screen &&
-      memo_->CountScopedMiss(graph_epoch_, target) >
-          graph_->degree(target)) {
+      memo_->CountScopedMiss(target) > graph_->degree(target)) {
     screen = BuildScreen(target);
-    memo_->InsertScreen(graph_epoch_, target, screen);
+    memo_->InsertScreen(target, screen);
     if (screen->Contains(source)) {
       ++screened_reads_;
       return 0.0;
@@ -295,7 +287,7 @@ double DependencyOracle::Dependency(VertexId source, VertexId target) {
     auto entry = std::make_shared<DependencyMemo::Entry>();
     entry->target = target;
     entry->value = value;
-    memo_->Insert(graph_epoch_, source, std::move(entry));
+    memo_->Insert(source, std::move(entry));
   }
   return value;
 }

@@ -66,11 +66,11 @@ namespace mhbc {
 /// has paid deg(r) + 1 scoped misses (counted in the memo, shared by its
 /// oracles): a target that never benefits pays at most twice its
 /// unscreened passes. Screens live in the memo beside the entries, and an
-/// edit drops them with the epoch. Directed and weighted graphs, and
-/// oracles without a memo (or with caching off), build none.
+/// edit drops them. Directed and weighted graphs, and oracles without a
+/// memo (or with caching off), build none.
 ///
-/// Graph mutation. The oracle supports epoch-tagged rebinding for the
-/// dynamic-graph path (BetweennessEngine::ApplyDelta): ApplyGraphDelta
+/// Graph mutation. The oracle supports rebinding for the dynamic-graph
+/// path (BetweennessEngine::ApplyDelta and Rebind): ApplyGraphDelta
 /// points the oracle at the post-edit graph and drops *only* the memoized
 /// passes whose BFS trees an edit touches. For unweighted graphs each
 /// cached pass keeps its hop-distance vector, and an edit {u,v} provably
@@ -93,9 +93,9 @@ namespace mhbc {
 /// sp/delta_spd.h). Passes failing their test for any edit in the batch
 /// are dropped; survivors are extended with unreached sentinels for
 /// appended vertices and served exactly as a fresh pass on the new graph
-/// would compute them. On a shared memo the first oracle to rebind runs
-/// that invalidation once per epoch (DependencyMemo::Advance); the others
-/// only rebind their kernels.
+/// would compute them. Oracles sharing a memo rebind to every batch
+/// before any of them reads again; the first one's DependencyMemo::Advance
+/// drops and extends, and the others' find nothing left to do.
 class DependencyOracle {
  public:
   /// The graph must outlive the oracle. Weighted graphs automatically use
@@ -104,12 +104,10 @@ class DependencyOracle {
   /// grain, and bucket width change only the work per pass — the
   /// dependency vectors are bit-identical across all settings, see
   /// sp/bfs_spd.h and sp/delta_spd.h). A non-null `memo` is shared with
-  /// the other oracles it was given to; `epoch` is the graph epoch
-  /// `graph` is at (an oracle created after mutations starts there, so
-  /// the shared memo's next invalidation is not skipped).
+  /// the other oracles it was given to, which must be bound to `graph`
+  /// too (see DependencyMemo).
   explicit DependencyOracle(const CsrGraph& graph, SpdOptions spd = SpdOptions(),
-                            std::shared_ptr<DependencyMemo> memo = nullptr,
-                            std::uint64_t epoch = 0);
+                            std::shared_ptr<DependencyMemo> memo = nullptr);
 
   /// Runs one counted shortest-path pass from `source` and returns its DAG
   /// (valid until the next pass). Neither reads nor fills the memo and
@@ -156,11 +154,13 @@ class DependencyOracle {
 
   /// Rebinds the oracle to `new_graph` — the graph produced by applying
   /// the resolved edit batch `edits` (DynamicGraph::Apply output, with
-  /// kRemoveEdge weights filled in) to the currently-bound graph — and
-  /// advances the graph epoch. Memoized passes the edits provably do not
-  /// touch survive (see class comment); the SPD engines and accumulator
-  /// are rebuilt against the new graph. `new_graph` must outlive the
-  /// oracle like the construction graph did.
+  /// kRemoveEdge weights filled in) to the currently-bound graph. It may
+  /// be the bound graph object itself, already rewritten by the edit: the
+  /// survival tests read only the entries' distances and the tables of
+  /// the kernel bound before the edit. Memoized passes the edits provably
+  /// do not touch survive (see class comment); the SPD engines and
+  /// accumulator are rebuilt against the new graph. `new_graph` must
+  /// outlive the oracle like the construction graph did.
   void ApplyGraphDelta(const CsrGraph& new_graph,
                        std::span<const GraphEdit> edits);
 
@@ -178,9 +178,6 @@ class DependencyOracle {
   /// Distance-only passes run to build zero screens (counted in
   /// num_passes() too).
   std::uint64_t screen_build_passes() const { return screen_build_passes_; }
-
-  /// The graph epoch: the construction epoch plus ApplyGraphDelta rebinds.
-  std::uint64_t graph_epoch() const { return graph_epoch_; }
 
   /// Memoized passes currently held (by the memo, shared or not).
   std::size_t cached_entries() const { return memo_ ? memo_->size() : 0; }
@@ -212,7 +209,6 @@ class DependencyOracle {
   std::uint64_t cache_hits_ = 0;
   std::uint64_t screened_reads_ = 0;
   std::uint64_t screen_build_passes_ = 0;
-  std::uint64_t graph_epoch_ = 0;
   bool scoped_reads_ = false;
   /// Null until set_cache_capacity(> 0) unless one was passed in.
   std::shared_ptr<DependencyMemo> memo_;

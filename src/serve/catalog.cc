@@ -46,16 +46,16 @@ GraphEntry::GraphEntry(std::string name, CsrGraph graph,
     : name_(std::move(name)),
       graph_(std::move(graph)),
       memo_(std::make_shared<DependencyMemo>()),
-      num_vertices_(graph_.num_vertices()),
-      num_edges_(graph_.num_edges()),
-      directed_(graph_.directed()) {
+      num_vertices_(graph_.Csr().num_vertices()),
+      num_edges_(graph_.Csr().num_edges()),
+      directed_(graph_.Csr().directed()) {
   if (sessions == 0) sessions = 1;
   sessions_.reserve(sessions);
   free_.reserve(sessions);
   counters_.resize(sessions);
   for (std::size_t i = 0; i < sessions; ++i) {
     sessions_.push_back(
-        std::make_unique<BetweennessEngine>(graph_, options, memo_));
+        std::make_unique<BetweennessEngine>(graph_.Csr(), options, memo_));
     free_.push_back(sessions_.back().get());
   }
 }
@@ -99,35 +99,25 @@ StatusOr<GraphEntryStats> GraphEntry::Mutate(const GraphDelta& delta) {
   lock.unlock();
 
   // Exclusive: every session is parked in free_ and writer_active_ keeps
-  // readers (and other writers) out, so the engines can be edited without
-  // the lock. The first ApplyDelta is the validation gate — it is atomic
-  // per the engine contract, so an invalid delta leaves session 0 (and
-  // thus all sessions) untouched. Once it succeeds, the same delta is
-  // valid against every identically-edited sibling.
-  Status applied = sessions_.front()->ApplyDelta(delta);
-  if (applied.ok()) {
-    for (std::size_t i = 1; i < sessions_.size(); ++i) {
-      const Status sibling = sessions_[i]->ApplyDelta(delta);
-      if (!sibling.ok()) {
-        // Unreachable when the sessions are in lockstep; surface loudly
-        // rather than serving a torn pool.
-        applied = Status::FailedPrecondition(
-            "session pool diverged applying a validated delta: " +
-            sibling.message());
-        break;
-      }
+  // readers (and other writers) out, so the graph and the engines can be
+  // edited without the lock. Apply is the validation gate: it is atomic,
+  // so an invalid delta leaves the graph, and so every session, untouched.
+  // Every session is rebound before any reads again, as the shared memo
+  // requires.
+  std::vector<GraphEdit> resolved;
+  const Status applied = graph_.Apply(delta, &resolved);
+  const bool edited = applied.ok() && !delta.empty();
+  if (edited) {
+    for (const auto& session : sessions_) {
+      session->Rebind(graph_.Csr(), resolved);
     }
   }
 
   lock.lock();
-  if (applied.ok()) {
-    const BetweennessEngine& session = *sessions_.front();
-    if (session.graph_epoch() != epoch_) {  // empty delta keeps the epoch
-      epoch_ = session.graph_epoch();
-      ++mutations_applied_;
-      num_vertices_ = session.graph().num_vertices();
-      num_edges_ = session.graph().num_edges();
-    }
+  if (edited) {  // an empty delta keeps the epoch
+    ++epoch_;
+    num_vertices_ = graph_.Csr().num_vertices();
+    num_edges_ = graph_.Csr().num_edges();
   }
   const GraphEntryStats installed = StatsLocked();
   writer_active_ = false;
@@ -148,7 +138,7 @@ GraphEntryStats GraphEntry::StatsLocked() const {
   stats.sessions = sessions_.size();
   stats.sessions_free = free_.size();
   stats.reads_served = reads_served_;
-  stats.mutations_applied = mutations_applied_;
+  stats.mutations_applied = epoch_;
   stats.num_vertices = num_vertices_;
   stats.num_edges = num_edges_;
   stats.directed = directed_;

@@ -22,24 +22,26 @@
 /// of concurrency is one engine per in-flight reader: each catalog entry
 /// owns a fixed pool of engines ("sessions") built on the same graph with
 /// the same options, and a reader checks one out through an RAII
-/// ReadLease. Warm state is the point of the pool. The sessions share one
-/// DependencyMemo per entry (exact/dependency_memo.h), so a pass any
-/// session paid for serves every later request on the entry, whichever
-/// session takes it; each engine's whole-graph products (exact scores, RK
-/// credit vector) persist across the requests that session serves.
+/// ReadLease. Warm state is the point of the pool. The sessions serve one
+/// graph object, the entry's DynamicGraph, and share one DependencyMemo
+/// (exact/dependency_memo.h), so a pass any session paid for serves every
+/// later request on the entry, whichever session takes it; each engine's
+/// whole-graph products (exact scores, RK credit vector) persist across
+/// the requests that session serves.
 ///
 /// Mutation installs atomically under a writer-preferred guard: Mutate()
 /// blocks new readers, drains the in-flight ones (waits until every
-/// session is back in the pool), applies the *same* GraphDelta to every
-/// pooled engine, and advances the entry epoch. The shared memo is
-/// invalidated once per epoch, by the first session whose oracle rebinds;
-/// the others only rebind their kernels. Because the engine's ApplyDelta
-/// contract makes post-edit reports bit-identical to a cold engine on the
-/// post-edit graph, every session leaves the critical section
-/// bit-equivalent: a reader can never observe a half-installed delta, and
-/// two concurrent readers at the same epoch get bit-identical statistical
-/// report fields no matter which pooled session served them.
-/// tests/serve_concurrency_test.cc holds this to the bit.
+/// session is back in the pool), applies the GraphDelta once to the
+/// entry's graph, rebinds every session to it (BetweennessEngine::Rebind)
+/// and advances the entry epoch. No session reads between the first
+/// rebind and the last, which is what the shared memo needs: the first
+/// rebind invalidates it, the others find nothing left to drop. Because
+/// the engine's mutation contract makes post-edit reports bit-identical
+/// to a cold engine on the post-edit graph, every session leaves the
+/// critical section bit-equivalent: a reader can never observe a
+/// half-installed delta, and two concurrent readers at the same epoch get
+/// bit-identical statistical report fields no matter which pooled session
+/// served them. tests/serve_concurrency_test.cc holds this to the bit.
 ///
 /// The catalog itself is fixed at startup (register every graph before
 /// serving begins); only the per-entry session state is synchronized.
@@ -105,12 +107,12 @@ struct GraphEntryStats {
   std::uint64_t screened_reads = 0;
 };
 
-/// One named graph: the owned base CSR plus its session pool, their
-/// shared dependency memo, and the epoch guard. Pinned in memory (catalog
+/// One named graph: the owned graph plus its session pool, their shared
+/// dependency memo, and the epoch guard. Pinned in memory (catalog
 /// entries live behind unique_ptr).
 class GraphEntry {
  public:
-  /// Builds `sessions` engines over the owned copy of `graph`, all on one
+  /// Builds `sessions` engines over the owned `graph`, all on one
   /// dependency memo. `sessions` must be >= 1.
   GraphEntry(std::string name, CsrGraph graph, const EngineOptions& options,
              std::size_t sessions);
@@ -125,12 +127,12 @@ class GraphEntry {
   /// reader stream), then checks it out.
   ReadLease AcquireRead();
 
-  /// Drains readers, applies `delta` to every pooled session, advances
-  /// the epoch, and returns the entry's stats as this call installed them
-  /// (read before the guard reopens, so a concurrent mutation cannot
-  /// swap in its epoch or shape). Validation runs against the first
-  /// session (whose ApplyDelta is atomic), so an invalid delta returns
-  /// InvalidArgument with every session untouched and the epoch
+  /// Drains readers, applies `delta` to the entry's graph, rebinds every
+  /// pooled session to it, advances the epoch, and returns the entry's
+  /// stats as this call installed them (read before the guard reopens, so
+  /// a concurrent mutation cannot swap in its epoch or shape).
+  /// DynamicGraph::Apply is atomic, so an invalid delta returns
+  /// InvalidArgument with the graph, every session and the epoch
   /// unchanged. An empty delta is a successful no-op that keeps the epoch.
   StatusOr<GraphEntryStats> Mutate(const GraphDelta& delta);
 
@@ -150,7 +152,9 @@ class GraphEntry {
   };
 
   const std::string name_;
-  CsrGraph graph_;  ///< construction base; engines own post-edit state
+  /// Every session serves graph_.Csr(), a reference that stays valid
+  /// across edits.
+  DynamicGraph graph_;
   const std::shared_ptr<DependencyMemo> memo_;
   std::vector<std::unique_ptr<BetweennessEngine>> sessions_;
 
@@ -160,11 +164,10 @@ class GraphEntry {
   std::vector<SessionCounters> counters_;  ///< parallel to sessions_
   std::size_t writers_waiting_ = 0;
   bool writer_active_ = false;
-  std::uint64_t epoch_ = 0;
+  std::uint64_t epoch_ = 0;  ///< also the count of mutations applied
   std::uint64_t reads_served_ = 0;
-  std::uint64_t mutations_applied_ = 0;
   /// Shape of the served graph, refreshed by Mutate next to epoch_ so
-  /// Stats() never reads a session's graph while a writer edits it.
+  /// Stats() never reads graph_ while a writer edits it.
   VertexId num_vertices_ = 0;
   std::uint64_t num_edges_ = 0;
   const bool directed_;

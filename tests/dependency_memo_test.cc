@@ -1,8 +1,9 @@
 // The dependency memo shared by several oracles / engines: a pass warmed
 // by one engine is a hit on another, selective invalidation runs once per
-// graph epoch, a served entry stays valid after another oracle clears the
-// map, and an engine whose oracle is first built after a mutation joins
-// the memo at that epoch and matches a cold engine bit for bit.
+// edit batch however many engines rebind to it, a served entry stays valid
+// after another oracle clears the map, and an engine whose oracle is first
+// built after a mutation serves the memo and matches a cold engine bit for
+// bit.
 
 #include "exact/dependency_memo.h"
 
@@ -64,48 +65,48 @@ DeltaChain MakeChain(const CsrGraph& base, std::vector<GraphDelta> head,
   return chain;
 }
 
-TEST(DependencyMemoTest, FindAndInsertAreEpochTagged) {
+TEST(DependencyMemoTest, AdvanceIsIdempotentForARepeatedBatch) {
   DependencyMemo memo;
   auto entry = std::make_shared<DependencyMemo::Entry>();
   entry->deps = {1.0, 2.0};
-  memo.Insert(0, 1, entry);
+  memo.Insert(1, entry);
   EXPECT_EQ(memo.size(), 0u);  // capacity 0: caching off
 
   memo.set_capacity(4);
-  memo.Insert(0, 1, entry);
-  ASSERT_NE(memo.Find(0, 1), nullptr);
-  EXPECT_EQ(memo.Find(1, 1), nullptr);  // another epoch's graph
-  memo.Insert(1, 2, entry);             // dropped: not the memo's epoch
-  EXPECT_EQ(memo.size(), 1u);
+  memo.Insert(1, entry);
+  auto scalar = std::make_shared<DependencyMemo::Entry>();
+  scalar->target = 0;
+  scalar->value = 0.5;
+  memo.Insert(2, scalar);
+  memo.InsertScreen(0, std::make_shared<DependencyMemo::ZeroScreen>());
+  EXPECT_EQ(memo.CountScopedMiss(0), 0u);
+  ASSERT_NE(memo.Find(1), nullptr);
+  ASSERT_EQ(memo.size(), 2u);
 
-  // Advance runs once per epoch: the second call from the same epoch is
-  // a sibling's no-op, not a second sweep. Survivors are extended to the
-  // new vertex count with a fresh pass' values.
-  std::size_t tested = 0;
-  const auto keep_all = [&tested](const DependencyMemo::Entry&) {
-    ++tested;
-    return true;
-  };
-  memo.Advance(0, 3, keep_all);
-  memo.Advance(0, 3, keep_all);
-  EXPECT_EQ(tested, 1u);
-  EXPECT_EQ(memo.epoch(), 1u);
-  ASSERT_NE(memo.Find(1, 1), nullptr);
-  EXPECT_EQ(memo.Find(1, 1)->deps, (std::vector<double>{1.0, 2.0, 0.0}));
-  EXPECT_EQ(memo.Find(0, 1), nullptr);
+  // Every oracle sharing the memo advances it with the same batch. The
+  // first call drops the scalar, the screen and the miss count, and
+  // extends the survivor to the new vertex count with a fresh pass'
+  // values.
+  const auto keep_all = [](const DependencyMemo::Entry&) { return true; };
+  memo.Advance(3, keep_all);
+  EXPECT_EQ(memo.invalidated_entries(), 1u);
+  const DependencyMemo::EntryPtr extended = memo.Find(1);
+  ASSERT_NE(extended, nullptr);
+  EXPECT_EQ(extended->deps, (std::vector<double>{1.0, 2.0, 0.0}));
+  EXPECT_EQ(memo.Find(2), nullptr);
+  EXPECT_EQ(memo.FindScreen(0), nullptr);
   EXPECT_EQ(entry->deps.size(), 2u);  // a held entry is never mutated
 
-  memo.Advance(1, 3, [](const DependencyMemo::Entry&) { return false; });
-  EXPECT_EQ(memo.epoch(), 2u);
+  // The second call drops, extends and counts nothing.
+  memo.Advance(3, keep_all);
   EXPECT_EQ(memo.invalidated_entries(), 1u);
-  EXPECT_EQ(memo.size(), 0u);
+  EXPECT_EQ(memo.size(), 1u);
+  EXPECT_EQ(memo.Find(1), extended);
+  EXPECT_EQ(extended->deps.size(), 3u);
 
-  // A memo behind a new oracle's epoch holds entries nobody invalidated.
-  memo.Insert(2, 3, entry);
-  memo.Sync(3);
-  EXPECT_EQ(memo.epoch(), 3u);
-  EXPECT_EQ(memo.size(), 0u);
+  memo.Advance(3, [](const DependencyMemo::Entry&) { return false; });
   EXPECT_EQ(memo.invalidated_entries(), 2u);
+  EXPECT_EQ(memo.size(), 0u);
 }
 
 TEST(DependencyMemoTest, ServedEntryOutlivesAnotherOraclesEviction) {
@@ -124,7 +125,7 @@ TEST(DependencyMemoTest, ServedEntryOutlivesAnotherOraclesEviction) {
   // The memo is full, so this insert clears it: the reader's vector is
   // pinned and must still read correctly (ASan catches a dangling one).
   writer.Dependencies(1);
-  EXPECT_EQ(memo->Find(0, 0), nullptr);
+  EXPECT_EQ(memo->Find(0), nullptr);
   EXPECT_EQ(served, want);
 }
 
@@ -174,7 +175,6 @@ TEST(DependencyMemoTest, InvalidationRunsOncePerMutation) {
       ASSERT_TRUE(session->ApplyDelta(chain.deltas[e]).ok());
     }
     ASSERT_TRUE(single.ApplyDelta(chain.deltas[e]).ok());
-    EXPECT_EQ(shared->epoch(), e + 1);
     EXPECT_EQ(shared->invalidated_entries(),
               single_memo->invalidated_entries())
         << "epoch " << e + 1;
@@ -212,9 +212,9 @@ TEST(DependencyMemoTest, SessionIdleUntilAfterAMutationMatchesColdEngine) {
   };
 
   // Case 1: `busy` warms the memo; `idle` builds its oracle only after
-  // the first mutation. It must join the memo at epoch 1 (serving the
-  // passes the edit left alone), and it alone rebinds first at the next
-  // mutation, so its invalidation must run there.
+  // the first mutation. It must serve the passes the edit left alone, and
+  // it alone rebinds first at the next mutation, so its invalidation must
+  // run there.
   {
     auto memo = std::make_shared<DependencyMemo>();
     BetweennessEngine busy(base.value(), EngineOptions(), memo);
@@ -240,8 +240,8 @@ TEST(DependencyMemoTest, SessionIdleUntilAfterAMutationMatchesColdEngine) {
   }
 
   // Case 2: no engine had an oracle before the first mutation, so the
-  // memo was never advanced; the first oracle, built at epoch 1, moves it
-  // there, and the next mutation's invalidation must still run.
+  // memo was never advanced; the first oracle is built on the edited
+  // graph, and the next mutation's invalidation must still run.
   {
     auto memo = std::make_shared<DependencyMemo>();
     BetweennessEngine a(base.value(), EngineOptions(), memo);
@@ -251,14 +251,39 @@ TEST(DependencyMemoTest, SessionIdleUntilAfterAMutationMatchesColdEngine) {
     auto first = b.Estimate(17, request);
     ASSERT_TRUE(first.ok());
     ExpectSameStatistics(first.value(), cold_at(1));
-    EXPECT_EQ(memo->epoch(), 1u);
     ASSERT_TRUE(a.ApplyDelta(chain.deltas[1]).ok());
     ASSERT_TRUE(b.ApplyDelta(chain.deltas[1]).ok());
-    EXPECT_EQ(memo->epoch(), 2u);
     auto second = a.Estimate(17, request);
     ASSERT_TRUE(second.ok());
     ExpectSameStatistics(second.value(), cold_at(2));
   }
+}
+
+TEST(DependencyMemoTest, EngineMutatedBeforeItsFirstQueryMemoizes) {
+  const CsrGraph base = MakeBarabasiAlbert(2000, 3, 7);
+  GraphDelta grow;
+  grow.AddVertices(1);
+  const DeltaChain chain = MakeChain(base, {grow}, 0, 0);
+  EstimateRequest request = MhRequest(3);
+  request.kind = EstimatorKind::kMhRaoBlackwell;
+
+  // The engine's memo is created after the edit, by its first query: the
+  // second query must be served from what the first one paid for.
+  BetweennessEngine engine(base);
+  ASSERT_TRUE(engine.ApplyDelta(chain.deltas[0]).ok());
+  BetweennessEngine cold(chain.snapshots[1]);
+  std::uint64_t passes = 0;
+  for (const VertexId r : {VertexId{10}, VertexId{11}}) {
+    auto got = engine.Estimate(r, request);
+    auto want = cold.Estimate(r, request);
+    ASSERT_TRUE(got.ok());
+    ASSERT_TRUE(want.ok());
+    ExpectSameStatistics(got.value(), want.value());
+    passes += got.value().sp_passes;
+  }
+  EXPECT_EQ(passes, cold.total_sp_passes());
+  EXPECT_GT(engine.dependency_cache_hits(), 0u);
+  EXPECT_LT(engine.total_sp_passes(), 2 * (kSamples + 1));
 }
 
 }  // namespace

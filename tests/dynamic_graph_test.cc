@@ -8,12 +8,14 @@
 #include <fstream>
 #include <limits>
 #include <map>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "centrality/engine.h"
+#include "exact/dependency_memo.h"
 #include "exact/dependency_oracle.h"
 #include "graph/generators.h"
 #include "graph/graph_builder.h"
@@ -374,12 +376,14 @@ TEST(EditScriptTest, FileRoundTripsAndMissingFileIsIoError) {
   EXPECT_EQ(ParseEditScript(path).status().code(), StatusCode::kIoError);
 }
 
-// ------------------------------------------- oracle epoch invalidation
+// ------------------------------------------- oracle edit invalidation
 
 TEST(DependencyOracleDeltaTest, IntraLevelEditKeepsPassesAndStaysExact) {
   // Grid: plenty of equal-depth vertex pairs for intra-level edits.
   const CsrGraph start = MakeGrid(6, 6);
-  DependencyOracle oracle(start);
+  auto memo = std::make_shared<DependencyMemo>();
+  DependencyOracle oracle(start, SpdOptions(), memo);
+  DependencyOracle sibling(start, SpdOptions(), memo);
   oracle.set_cache_capacity(64);
   const VertexId source = 0;
   (void)oracle.Dependencies(source);
@@ -408,8 +412,12 @@ TEST(DependencyOracleDeltaTest, IntraLevelEditKeepsPassesAndStaysExact) {
   ASSERT_TRUE(dynamic.Apply(delta, &resolved).ok());
   const CsrGraph& next = dynamic.Csr();
   oracle.ApplyGraphDelta(next, resolved);
-  EXPECT_EQ(oracle.graph_epoch(), 1u);
   EXPECT_EQ(oracle.cached_entries(), 1u);  // the pass survived
+  EXPECT_EQ(oracle.invalidated_entries(), 0u);
+  // A sibling rebinding to the same batch leaves the survivor in place.
+  const DependencyMemo::EntryPtr survivor = memo->Find(source);
+  sibling.ApplyGraphDelta(next, resolved);
+  EXPECT_EQ(memo->Find(source), survivor);
   EXPECT_EQ(oracle.invalidated_entries(), 0u);
 
   const std::uint64_t hits_before = oracle.cache_hits();
@@ -634,6 +642,37 @@ TEST(DynamicEquivalenceTest, WeightedGraphMatchesColdAfterEdits) {
     ExpectReportsIdentical(warm.value(), cold_report.value(),
                            "weighted script " + std::to_string(script));
   }
+}
+
+// Emptying a weighted graph on a later edit. By then the oracle is bound
+// to the engine's own graph object, already rewritten when it rebinds, so
+// the pre-edit kind has to come from the kernel: the cached weighted pass
+// keeps no hop distances and must drop, not survive.
+TEST(DynamicEquivalenceTest, EmptyingAWeightedGraphOnALaterEditMatchesCold) {
+  const CsrGraph start = AssignUniformWeights(MakePath(4), 1.0, 3.0, 0x9a);
+  ASSERT_TRUE(start.weighted());
+  BetweennessEngine engine(start);
+  EstimateRequest request;
+  request.kind = EstimatorKind::kUniformSource;
+  request.samples = 64;
+  request.seed = 5;
+  ASSERT_TRUE(engine.Estimate(1, request).ok());
+
+  GraphDelta grow;
+  grow.AddVertices(1);
+  ASSERT_TRUE(engine.ApplyDelta(grow).ok());
+  GraphDelta empty;
+  empty.RemoveEdge(0, 1).RemoveEdge(1, 2).RemoveEdge(2, 3);
+  ASSERT_TRUE(engine.ApplyDelta(empty).ok());
+  ASSERT_FALSE(engine.graph().weighted());
+
+  const CsrGraph emptied = engine.graph();
+  BetweennessEngine cold(emptied);
+  const auto warm = engine.Estimate(1, request);
+  const auto cold_report = cold.Estimate(1, request);
+  ASSERT_TRUE(warm.ok() && cold_report.ok());
+  EXPECT_EQ(cold_report.value().value, 0.0);
+  ExpectReportsIdentical(warm.value(), cold_report.value(), "emptied");
 }
 
 // Structural-only sweep at higher volume: every random script leaves

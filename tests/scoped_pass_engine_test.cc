@@ -45,11 +45,11 @@ void ExpectSameStatistics(const EstimateReport& got,
   EXPECT_EQ(got.converged, want.converged);
 }
 
-/// Scalar entries the memo holds at `epoch`.
-std::size_t ScalarEntries(const DependencyMemo& memo, std::uint64_t epoch) {
+/// Scalar entries the memo holds.
+std::size_t ScalarEntries(const DependencyMemo& memo) {
   std::size_t scalars = 0;
   for (VertexId s = 0; s < kN; ++s) {
-    const DependencyMemo::EntryPtr entry = memo.Find(epoch, s);
+    const DependencyMemo::EntryPtr entry = memo.Find(s);
     if (entry && entry->scalar()) ++scalars;
   }
   return scalars;
@@ -95,8 +95,8 @@ TEST(ScopedPassEngineTest, SmallMemoReportsMatchFullPassEngine) {
     }
   }
   // The small memo kept scalar answers, not vectors.
-  EXPECT_GT(ScalarEntries(*memo, 0), 0u);
-  EXPECT_EQ(ScalarEntries(*memo, 0), memo->size());
+  EXPECT_GT(ScalarEntries(*memo), 0u);
+  EXPECT_EQ(ScalarEntries(*memo), memo->size());
 }
 
 TEST(ScopedPassEngineTest, MultiTargetCallsKeepFullPassCounts) {
@@ -118,7 +118,7 @@ TEST(ScopedPassEngineTest, MultiTargetCallsKeepFullPassCounts) {
     EXPECT_EQ(got.value()[i].sp_passes, want.value()[i].sp_passes);
     EXPECT_EQ(got.value()[i].cache_hit, want.value()[i].cache_hit);
   }
-  EXPECT_EQ(ScalarEntries(*memo, 0), 0u);
+  EXPECT_EQ(ScalarEntries(*memo), 0u);
 
   const std::uint64_t full_before = full.total_sp_passes();
   const std::uint64_t small_before = small.total_sp_passes();
@@ -134,8 +134,8 @@ TEST(ScopedPassEngineTest, MultiTargetCallsKeepFullPassCounts) {
   BetweennessEngine fresh(graph, WithBudget(BytesFor(kN - 1)), fresh_memo);
   const auto single = fresh.EstimateMany({kN - 1}, request);
   ASSERT_TRUE(single.ok());
-  EXPECT_GT(ScalarEntries(*fresh_memo, 0), 0u);
-  EXPECT_EQ(ScalarEntries(*fresh_memo, 0), fresh_memo->size());
+  EXPECT_GT(ScalarEntries(*fresh_memo), 0u);
+  EXPECT_EQ(ScalarEntries(*fresh_memo), fresh_memo->size());
   const auto reference =
       BetweennessEngine(graph).EstimateMany({kN - 1}, request);
   ASSERT_TRUE(reference.ok());
@@ -177,9 +177,9 @@ TEST(ScopedPassEngineTest, DependenciesReplaceAScalarEntry) {
   oracle.set_cache_capacity(8);
   oracle.set_scoped_reads(true);
   EXPECT_EQ(oracle.Dependency(s, r), want[r]);
-  ASSERT_NE(memo->Find(0, s), nullptr);
-  EXPECT_TRUE(memo->Find(0, s)->scalar());
-  EXPECT_EQ(memo->Find(0, s)->target, r);
+  ASSERT_NE(memo->Find(s), nullptr);
+  EXPECT_TRUE(memo->Find(s)->scalar());
+  EXPECT_EQ(memo->Find(s)->target, r);
   EXPECT_EQ(oracle.Dependency(s, r), want[r]);  // scalar hit
   EXPECT_EQ(oracle.num_passes(), 1u);
   EXPECT_EQ(oracle.cache_hits(), 1u);
@@ -187,13 +187,13 @@ TEST(ScopedPassEngineTest, DependenciesReplaceAScalarEntry) {
   // Another target misses; its scalar takes the slot.
   EXPECT_EQ(oracle.Dependency(s, other), want[other]);
   EXPECT_EQ(oracle.num_passes(), 2u);
-  EXPECT_EQ(memo->Find(0, s)->target, other);
+  EXPECT_EQ(memo->Find(s)->target, other);
 
   // A full read misses the scalar and replaces it with the whole pass,
   // which then serves every target.
   EXPECT_EQ(oracle.Dependencies(s), want);
   EXPECT_EQ(oracle.num_passes(), 3u);
-  EXPECT_FALSE(memo->Find(0, s)->scalar());
+  EXPECT_FALSE(memo->Find(s)->scalar());
   EXPECT_EQ(oracle.Dependency(s, r), want[r]);
   EXPECT_EQ(oracle.Dependency(s, other), want[other]);
   EXPECT_EQ(oracle.num_passes(), 3u);
@@ -209,8 +209,8 @@ TEST(ScopedPassEngineTest, WeightedReadsStayFull) {
   oracle.set_scoped_reads(true);
   DependencyOracle reference(graph);
   EXPECT_EQ(oracle.Dependency(9, 4), reference.Dependencies(9)[4]);
-  ASSERT_NE(memo->Find(0, 9), nullptr);
-  EXPECT_FALSE(memo->Find(0, 9)->scalar());
+  ASSERT_NE(memo->Find(9), nullptr);
+  EXPECT_FALSE(memo->Find(9)->scalar());
 }
 
 TEST(ScopedPassEngineTest, ApplyDeltaDropsScalarsAndMatchesColdEngine) {
@@ -218,17 +218,26 @@ TEST(ScopedPassEngineTest, ApplyDeltaDropsScalarsAndMatchesColdEngine) {
   const EngineOptions options = WithBudget(BytesFor(64));
   auto memo = std::make_shared<DependencyMemo>();
   BetweennessEngine engine(graph, options, memo);
+  // Shares the memo and rebinds to every batch after `engine` does.
+  BetweennessEngine twin(graph, options, memo);
   DynamicGraph next(graph);
   for (std::uint64_t round = 0; round < 3; ++round) {
     for (const EstimateRequest& request : Requests()) {
       ASSERT_TRUE(engine.Estimate(7, request).ok());
     }
-    ASSERT_GT(ScalarEntries(*memo, round), 0u);
+    ASSERT_GT(ScalarEntries(*memo), 0u);
+    // Whole entries, which an edit may let survive.
+    ASSERT_TRUE(twin.EstimateMany({7, kN - 2}, Requests().front()).ok());
     const GraphDelta delta = MakeRandomEditScript(next.Csr(), 3, 100 + round);
     ASSERT_TRUE(next.Apply(delta).ok());
     ASSERT_TRUE(engine.ApplyDelta(delta).ok());
-    EXPECT_EQ(memo->epoch(), round + 1);
-    EXPECT_EQ(ScalarEntries(*memo, round + 1), 0u);
+    EXPECT_EQ(ScalarEntries(*memo), 0u);
+    // The twin's rebind to the same batch finds nothing left to drop.
+    const std::size_t held = memo->size();
+    const std::uint64_t dropped = memo->invalidated_entries();
+    ASSERT_TRUE(twin.ApplyDelta(delta).ok());
+    EXPECT_EQ(memo->size(), held);
+    EXPECT_EQ(memo->invalidated_entries(), dropped);
 
     BetweennessEngine cold(next.Csr(), options);
     for (const EstimateRequest& request : Requests()) {

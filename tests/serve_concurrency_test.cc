@@ -7,6 +7,7 @@
 // %.17g wire round-trip. A reader racing a mutation must therefore see
 // either the old epoch's exact answer or the new one's, never a torn mix.
 
+#include <algorithm>
 #include <atomic>
 #include <map>
 #include <string>
@@ -248,6 +249,56 @@ TEST(ServeConcurrencyTest, WriterDrainsReadersAndReadersNeverSeeTornPool) {
   });
   for (std::thread& thread : threads) thread.join();
   EXPECT_EQ(entry.Stats().epoch, deltas.size());
+}
+
+TEST(ServeConcurrencyTest, SessionsShareOneGraphAndAnInvalidDeltaChangesNothing) {
+  auto base = MakeDataset("caveman-36");
+  ASSERT_TRUE(base.ok());
+  GraphEntry entry("g", base.value(), EngineOptions(), /*sessions=*/3);
+  // The graph each session serves, read with every session leased at once.
+  const auto session_graphs = [&entry] {
+    std::vector<ReadLease> leases;
+    std::vector<const CsrGraph*> graphs;
+    for (std::size_t i = 0; i < 3; ++i) {
+      leases.push_back(entry.AcquireRead());
+      graphs.push_back(&leases.back().engine().graph());
+    }
+    return graphs;
+  };
+  EstimateRequest request;
+  request.samples = kSamples;
+  {
+    ReadLease lease = entry.AcquireRead();
+    ASSERT_TRUE(lease.engine().Estimate(8, request).ok());
+  }
+
+  ASSERT_TRUE(
+      entry.Mutate(MakeRandomEditScript(base.value(), kEditsPerMutation, 0x0e))
+          .ok());
+  const std::vector<const CsrGraph*> graphs = session_graphs();
+  for (const CsrGraph* graph : graphs) EXPECT_EQ(graph, graphs.front());
+  const GraphEntryStats before = entry.Stats();
+  const CsrGraph edited = *graphs.front();
+  EXPECT_EQ(before.num_edges, edited.num_edges());
+
+  // The first op is valid, the second names an edge that does not exist.
+  GraphDelta bad;
+  bad.AddVertices(1).RemoveEdge(0, edited.num_vertices());
+  EXPECT_FALSE(entry.Mutate(bad).ok());
+  const GraphEntryStats after = entry.Stats();
+  EXPECT_EQ(after.epoch, before.epoch);
+  EXPECT_EQ(after.num_vertices, before.num_vertices);
+  EXPECT_EQ(after.num_edges, before.num_edges);
+  for (const CsrGraph* graph : session_graphs()) {
+    EXPECT_EQ(graph, graphs.front());
+    ASSERT_EQ(graph->num_vertices(), edited.num_vertices());
+    ASSERT_EQ(graph->num_edges(), edited.num_edges());
+    for (VertexId v = 0; v < edited.num_vertices(); ++v) {
+      EXPECT_TRUE(std::ranges::equal(graph->neighbors(v),
+                                     edited.neighbors(v)))
+          << "vertex " << v;
+    }
+  }
 }
 
 TEST(ServeConcurrencyTest, StatsPairsEachEpochWithItsEdgeCount) {

@@ -76,7 +76,7 @@ DependencyMemo::ScreenPtr ForceScreen(const CsrGraph& graph, VertexId target,
     EXPECT_EQ(std::bit_cast<std::uint64_t>(got),
               std::bit_cast<std::uint64_t>(want))
         << "source " << source << " target " << target;
-    if (DependencyMemo::ScreenPtr screen = memo->FindScreen(0, target)) {
+    if (DependencyMemo::ScreenPtr screen = memo->FindScreen(target)) {
       EXPECT_EQ(oracle.screen_build_passes(), graph.degree(target) + 1u);
       return screen;
     }
@@ -319,7 +319,7 @@ TEST(ZeroScreenTest, EditThatGivesTheTargetAChildServesNoOldScreen) {
   oracle.set_cache_capacity(2);
   oracle.set_scoped_reads(true);
   for (VertexId v = 0; v < 6; ++v) EXPECT_EQ(oracle.Dependency(v, 4), 0.0);
-  ASSERT_NE(memo->FindScreen(0, 4), nullptr);
+  ASSERT_NE(memo->FindScreen(4), nullptr);
   EXPECT_GT(oracle.screened_reads(), 0u);
 
   DynamicGraph next(graph);
@@ -328,7 +328,7 @@ TEST(ZeroScreenTest, EditThatGivesTheTargetAChildServesNoOldScreen) {
   std::vector<GraphEdit> resolved;
   ASSERT_TRUE(next.Apply(delta, &resolved).ok());
   oracle.ApplyGraphDelta(next.Csr(), resolved);
-  EXPECT_EQ(memo->FindScreen(1, 4), nullptr);
+  EXPECT_EQ(memo->FindScreen(4), nullptr);
   const std::uint64_t screened = oracle.screened_reads();
   DependencyOracle reference(next.Csr());
   for (VertexId v = 0; v < 4; ++v) {
