@@ -270,9 +270,12 @@ class BetweennessEngine {
  public:
   /// The graph must outlive the engine. Construction is O(1); all
   /// per-estimator state is built lazily on first use. A non-null `memo`
-  /// is shared with every other engine given it: they must serve the same
-  /// graph and rebind to each edit batch before any of them reads again
-  /// (see the file comment). Null gives the engine a private memo.
+  /// is shared with every other engine given it. Precondition: they serve
+  /// the same graph and all rebind to each edit batch before any of them
+  /// reads again (see the file comment). The memo keeps no epoch, so an
+  /// engine that reads while lagging a batch is served entries of another
+  /// graph: wrong answers, not extra misses (a debug guard traps only a
+  /// vertex-count mismatch). Null gives the engine a private memo.
   explicit BetweennessEngine(const CsrGraph& graph,
                              EngineOptions options = EngineOptions(),
                              std::shared_ptr<DependencyMemo> memo = nullptr);

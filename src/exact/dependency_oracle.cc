@@ -226,6 +226,8 @@ const std::vector<double>& DependencyOracle::Dependencies(VertexId source) {
   if (memo_) {
     DependencyMemo::EntryPtr hit = memo_->Find(source);
     if (hit && !hit->scalar()) {
+      // An entry of another graph means a sibling skipped a rebind.
+      MHBC_DCHECK(hit->deps.size() == graph_->num_vertices());
       ++cache_hits_;
       pinned_ = std::move(hit);
       return pinned_->deps;
@@ -265,6 +267,7 @@ double DependencyOracle::Dependency(VertexId source, VertexId target) {
   if (memo_) {
     const DependencyMemo::EntryPtr hit = memo_->Find(source);
     if (hit && hit->Serves(target)) {
+      MHBC_DCHECK(hit->scalar() || hit->deps.size() == graph_->num_vertices());
       ++cache_hits_;
       return hit->Dependency(target);
     }

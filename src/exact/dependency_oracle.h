@@ -104,8 +104,10 @@ class DependencyOracle {
   /// grain, and bucket width change only the work per pass — the
   /// dependency vectors are bit-identical across all settings, see
   /// sp/bfs_spd.h and sp/delta_spd.h). A non-null `memo` is shared with
-  /// the other oracles it was given to, which must be bound to `graph`
-  /// too (see DependencyMemo).
+  /// the other oracles it was given to. Precondition: they are bound to
+  /// `graph` too and all rebind to each edit batch before any of them
+  /// reads again (see DependencyMemo); an oracle that reads while lagging
+  /// a batch is served entries of another graph, not extra misses.
   explicit DependencyOracle(const CsrGraph& graph, SpdOptions spd = SpdOptions(),
                             std::shared_ptr<DependencyMemo> memo = nullptr);
 

@@ -225,9 +225,22 @@ TEST(ScopedPassEngineTest, ApplyDeltaDropsScalarsAndMatchesColdEngine) {
     for (const EstimateRequest& request : Requests()) {
       ASSERT_TRUE(engine.Estimate(7, request).ok());
     }
-    ASSERT_GT(ScalarEntries(*memo), 0u);
-    // Whole entries, which an edit may let survive.
-    ASSERT_TRUE(twin.EstimateMany({7, kN - 2}, Requests().front()).ok());
+    // Whole entries, which an edit may let survive: full reads replace
+    // half the scalars in place, so no insert finds a new key and clears
+    // the memo.
+    {
+      DependencyOracle whole(next.Csr(), SpdOptions(), memo);
+      std::size_t replace = ScalarEntries(*memo) / 2;
+      for (VertexId s = 0; s < kN && replace > 0; ++s) {
+        const DependencyMemo::EntryPtr entry = memo->Find(s);
+        if (!entry || !entry->scalar()) continue;
+        whole.Dependencies(s);
+        --replace;
+      }
+    }
+    const std::size_t scalars = ScalarEntries(*memo);
+    ASSERT_GT(scalars, 0u);
+    ASSERT_GT(memo->size(), scalars);
     const GraphDelta delta = MakeRandomEditScript(next.Csr(), 3, 100 + round);
     ASSERT_TRUE(next.Apply(delta).ok());
     ASSERT_TRUE(engine.ApplyDelta(delta).ok());
