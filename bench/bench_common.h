@@ -15,10 +15,11 @@
 #include "util/table.h"
 
 /// \file
-/// Shared helpers for the experiment harnesses (bench_e*). Each harness
-/// regenerates one table/figure of the reconstructed evaluation suite
-/// (DESIGN.md §5) and prints a markdown table plus the seeds used, so every
-/// row of EXPERIMENTS.md can be reproduced by re-running the binary.
+/// Shared helpers for the experiment harnesses: bench_paper (the paper's
+/// accuracy experiments, whose tables are committed as BENCH_paper.json)
+/// and the timing benches bench_e*. Each prints markdown tables from fixed
+/// seeds and records them in a BENCH_<id>.json, so every committed row can
+/// be reproduced by re-running the binary.
 
 // Build metadata, passed in as compile definitions by the bench targets
 // (CMakeLists.txt); the fallbacks keep the header compiling on its own.
@@ -60,11 +61,6 @@ inline TargetSet PickTargets(const CsrGraph& graph) {
   t.median = order[order.size() / 2];
   t.hub = order.back();
   return t;
-}
-
-/// Prints a titled markdown table to stdout.
-inline void PrintTable(const std::string& title, const Table& table) {
-  std::printf("\n### %s\n\n%s\n", title.c_str(), table.ToMarkdown().c_str());
 }
 
 /// Standard experiment banner.
@@ -149,7 +145,7 @@ class JsonReport {
     }
     out << "}, \"tables\": [";
     for (std::size_t i = 0; i < tables_.size(); ++i) {
-      if (i > 0) out << ", ";
+      out << (i > 0 ? ",\n" : "\n");  // a table per line: diffs name it
       out << "{\"title\": \"" << EscapeJson(tables_[i].first)
           << "\", \"table\": " << tables_[i].second << "}";
     }
@@ -163,11 +159,11 @@ class JsonReport {
   std::vector<std::pair<std::string, std::string>> tables_;  // title, json
 };
 
-/// Prints the table to stdout AND records it in the JSON report — the
-/// one-call emission shape harnesses should prefer over bare PrintTable.
+/// Prints the table to stdout as a titled markdown table AND records it in
+/// the JSON report.
 inline void EmitTable(JsonReport* report, const std::string& title,
                       const Table& table) {
-  PrintTable(title, table);
+  std::printf("\n### %s\n\n%s\n", title.c_str(), table.ToMarkdown().c_str());
   if (report != nullptr) report->AddTable(title, table);
 }
 

@@ -354,7 +354,8 @@ int main(int argc, char** argv) {
     total_epoch_errors += epoch_errors;
   }
 
-  mhbc::bench::PrintTable("E23 — serving latency/QPS (epoch gate)", table);
+  std::printf("\n### E23 — serving latency/QPS (epoch gate)\n\n%s\n",
+              table.ToMarkdown().c_str());
   report.AddTable("serve_load", table);
   report.AddMeta("protocol_errors", std::to_string(total_protocol_errors));
   report.AddMeta("epoch_errors", std::to_string(total_epoch_errors));

@@ -8,9 +8,9 @@
 /// \file
 /// The paper's theoretical quantities, computed exactly from a dependency
 /// profile (the vector delta_{v.}(r) over all sources v; see
-/// exact/brandes.h DependencyProfile). Backs experiments E4 (bound
-/// validation) and E5 (Theorem 2 mu scaling), and EXPERIMENTS.md's
-/// bias analysis.
+/// exact/brandes.h DependencyProfile). Backs bench_paper's experiments E4
+/// (bound validation), E5 (Theorem 2 mu scaling) and E15 (the bias
+/// analysis), whose tables are committed in BENCH_paper.json.
 
 namespace mhbc {
 

@@ -12,7 +12,7 @@
 ///
 /// The EDBT evaluation line uses SNAP networks; offline, the registry maps
 /// each to a deterministic synthetic stand-in of the same topology class
-/// and comparable scale (DESIGN.md §4 documents the substitution). Real
+/// and comparable scale, so the benches run offline. Real
 /// SNAP edge-list files can be substituted at run time via
 /// LoadSnapEdgeList — the registry is what keeps benches self-contained.
 

@@ -15,7 +15,7 @@
 /// truncated Brandes pass over this structure, so adjacency is stored as two
 /// flat arrays (offsets + neighbor ids) for sequential scanning.
 ///
-/// ROADMAP item 4 extends the model with *directed* graphs (web graphs,
+/// Beyond the paper, the model also covers *directed* graphs (web graphs,
 /// citation networks): a directed graph stores the out-CSR in the same two
 /// arrays plus an in-CSR transpose (built once at construction) that the
 /// SPD kernels' backward machinery — predecessor recording, bottom-up BFS,

@@ -11,10 +11,11 @@
 ///
 /// Every randomized component in the library (samplers, generators,
 /// benchmarks) takes an explicit 64-bit seed and derives its stream from
-/// this Rng, so every experiment in EXPERIMENTS.md is reproducible
-/// bit-for-bit. The core generator is xoshiro256**, seeded via SplitMix64
-/// per the reference recommendation; both are tiny, fast, and ours (no
-/// dependence on unspecified std:: distribution implementations).
+/// this Rng, so every experiment table (bench_paper, BENCH_paper.json) is
+/// reproducible bit-for-bit. The core generator is xoshiro256**, seeded
+/// via SplitMix64 per the reference recommendation; both are tiny, fast,
+/// and ours (no dependence on unspecified std:: distribution
+/// implementations).
 
 namespace mhbc {
 

@@ -6,7 +6,7 @@
 
 /// \file
 /// Summary statistics, error metrics, and rank correlation used by the
-/// experiment harnesses (EXPERIMENTS.md) and tests.
+/// experiment harnesses (bench_paper, BENCH_paper.json) and tests.
 
 namespace mhbc {
 

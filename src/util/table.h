@@ -5,8 +5,9 @@
 
 /// \file
 /// Plain-text table rendering for the experiment harnesses. Every bench
-/// binary prints its table/figure series through this so EXPERIMENTS.md
-/// rows can be regenerated by copy-paste.
+/// binary prints its table/figure series through this, as markdown and as
+/// the JSON of its report file (bench_paper's is committed as
+/// BENCH_paper.json, the accuracy ledger).
 
 namespace mhbc {
 

@@ -42,7 +42,8 @@ TEST(BoundsIntegrationTest, Eq14BudgetAchievesEpsDeltaOnSeparator) {
 /// The same protocol on a *skewed* target must expose the estimator's bias:
 /// the chain converges to ChainLimitEstimate, so with a tight eps the
 /// failure rate against the true BC blows past delta. This is the
-/// reproduction's negative result (soundness analysis in EXPERIMENTS.md).
+/// reproduction's negative result (bench_paper's E4 and E15 tables in
+/// BENCH_paper.json).
 TEST(BoundsIntegrationTest, SkewedTargetConvergesToChainLimitNotTruth) {
   const CsrGraph g = MakePath(10);
   const VertexId r = 2;
